@@ -59,7 +59,6 @@ RunResult Run(bool force_full) {
   cfg.gossip_period = 1.0;
   cfg.force_full_recompute = force_full;
   cfg.seed = 0xE18;
-  cfg.sim_threads = 1;  // pin: this bench times nothing, but keep runs fixed
   astrolabe::Deployment dep(cfg);
   dep.StartAll();
   dep.RunFor(kWarmupSeconds);

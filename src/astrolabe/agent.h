@@ -97,8 +97,8 @@ class Agent : public sim::Node {
   void Start();
 
   // Registers this agent's metric ids eagerly. Called by Deployment right
-  // after the agent joins the network: registration mutates the shared
-  // registry and must not first happen inside a parallel-window event.
+  // after the agent joins the network, so a metrics dump lists every
+  // astrolabe metric (at zero) whether or not an event touched it.
   void WarmObservability() { (void)Metrics(); }
 
   // ---- Local MIB -------------------------------------------------------

@@ -2,21 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <map>
 
 namespace nw::astrolabe {
 
 namespace {
-
-unsigned ResolveSimThreads(unsigned configured) {
-  if (configured != 0) return configured;
-  if (const char* env = std::getenv("NEWSWIRE_SIM_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1 && v <= 64) return static_cast<unsigned>(v);
-  }
-  return 1;
-}
 
 std::size_t DepthFor(std::size_t n, std::size_t branching) {
   std::size_t depth = 1;
@@ -92,7 +82,6 @@ Deployment::Deployment(DeploymentConfig config)
     agents_.back()->WarmObservability();
     agents_.back()->InstallFunction(core_fn_cert_);
   }
-  sim_.SetThreads(ResolveSimThreads(config_.sim_threads));
 
   // Seed peers play the role of the statically configured "introducers"
   // the paper defers to the wider Astrolabe effort (§8: automatic zone

@@ -35,11 +35,6 @@ struct DeploymentConfig {
   std::size_t seed_peers = 3;  // bootstrap contacts per agent
   sim::NetworkConfig net;
   std::uint64_t seed = 1;
-  // Simulator worker shards (DESIGN.md §9). 1 = classic sequential engine;
-  // any value produces bit-identical runs. 0 = read NEWSWIRE_SIM_THREADS
-  // from the environment (defaulting to 1), so whole test suites can be
-  // replayed under the parallel engine without per-test plumbing.
-  unsigned sim_threads = 0;
   // Optional observability sinks, installed on the network before any
   // agent joins. Caller-owned; must outlive the deployment.
   obs::MetricsRegistry* metrics = nullptr;

@@ -29,8 +29,8 @@ MulticastService::MulticastService(Agent& agent, MulticastConfig config)
     HandleAck(msg);
   });
   agent_.AddRestartHook([this] { OnRestart(); });
-  // Register metric ids up front: registration mutates the shared registry
-  // and must not first happen inside a parallel-window event.
+  // Register metric ids up front, so a metrics dump lists this layer's
+  // metrics (at zero) whether or not an event touched them.
   (void)Metrics();
   if (config_.report_load && config_.load_report_interval > 0) {
     agent_.Schedule(config_.load_report_interval *

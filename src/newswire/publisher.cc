@@ -8,8 +8,8 @@ Publisher::Publisher(astrolabe::Agent& agent, pubsub::PubSubService& pubsub,
       pubsub_(pubsub),
       config_(std::move(config)),
       flow_(config_.max_items_per_sec, config_.burst) {
-  // Register metric ids up front: registration mutates the shared registry
-  // and must not first happen inside a parallel-window event.
+  // Register metric ids up front, so a metrics dump lists this layer's
+  // metrics (at zero) whether or not an event touched them.
   (void)Metrics();
 }
 

@@ -75,8 +75,8 @@ Subscriber::Subscriber(astrolabe::Agent& agent,
     cache_ = MessageCache(config_.cache);
     if (started_) Start();
   });
-  // Register metric ids up front: registration mutates the shared registry
-  // and must not first happen inside a parallel-window event.
+  // Register metric ids up front, so a metrics dump lists this layer's
+  // metrics (at zero) whether or not an event touched them.
   (void)Metrics();
 }
 

@@ -19,7 +19,6 @@ astrolabe::DeploymentConfig MakeDeploymentConfig(const SystemConfig& cfg) {
   dc.force_full_recompute = cfg.force_full_recompute;
   dc.net = cfg.net;
   dc.seed = cfg.seed;
-  dc.sim_threads = cfg.sim_threads;
   dc.metrics = cfg.metrics;
   dc.tracer = cfg.tracer;
   return dc;
@@ -34,6 +33,7 @@ NewswireSystem::NewswireSystem(SystemConfig config)
   const std::size_t n = dep_.size();
   assert(config_.num_publishers >= 1);
   assert(config_.num_publishers < n);
+  assert(config_.sim_threads <= 1);
 
   // Subject catalog.
   catalog_.reserve(config_.catalog_size);
@@ -119,9 +119,7 @@ NewswireSystem::NewswireSystem(SystemConfig config)
     delivery_log_.emplace_back();
     delivery_cursor_.push_back(0);
     sub.SetNewsHandler([this, s](const NewsItem& item, double latency) {
-      // Runs inside a simulator event, possibly on a worker shard; only
-      // this subscriber's node ever executes here, so the per-subscriber
-      // log is single-writer. Aggregation happens in FoldDeliveries().
+      // Aggregation happens in FoldDeliveries(), in subscriber order.
       delivery_log_[s].emplace_back(item.Id(), latency);
     });
   }
@@ -200,8 +198,7 @@ multicast::MulticastStats NewswireSystem::MulticastTotals() const {
 }
 
 void NewswireSystem::FoldDeliveries() const {
-  // Fold un-aggregated log suffixes in subscriber order: deterministic
-  // regardless of how deliveries interleaved across shards at runtime.
+  // Fold un-aggregated log suffixes in subscriber order (see system.h).
   for (std::size_t s = 0; s < delivery_log_.size(); ++s) {
     const auto& log = delivery_log_[s];
     for (std::size_t k = delivery_cursor_[s]; k < log.size(); ++k) {

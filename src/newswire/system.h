@@ -51,9 +51,8 @@ struct SystemConfig {
   bool warm_start = true;  // install converged replicas directly
   bool run_gossip = true;  // start the epidemic protocol
   std::uint64_t seed = 1;
-  // Simulator worker shards (DESIGN.md §9); forwarded to the deployment.
-  // 1 = sequential engine, 0 = read NEWSWIRE_SIM_THREADS (default 1).
-  unsigned sim_threads = 0;
+  // Always 1 (asserted); goes once the benchmark program stops setting it.
+  unsigned sim_threads = 1;
   // Optional observability sinks (see src/obs), forwarded to the network
   // before any node joins. Caller-owned; must outlive the system.
   obs::MetricsRegistry* metrics = nullptr;
@@ -140,14 +139,11 @@ class NewswireSystem {
 
   std::map<std::string, std::size_t> expected_by_subject_;
 
-  // Delivery accounting. Subscriber delivery handlers run inside simulator
-  // events, which may execute on different worker shards concurrently
-  // (DESIGN.md §9), so each subscriber appends to its own log — a
-  // single-writer structure — and the aggregate views below are folded
-  // lazily, in subscriber order, when an accessor is called (always outside
-  // a parallel window). Folding in subscriber order is also what makes the
-  // aggregates identical across engine modes: each subscriber's own log is
-  // bit-identical regardless of thread count.
+  // Delivery accounting. Each subscriber appends to its own log, and the
+  // aggregate views below are folded lazily, in subscriber order, when an
+  // accessor is called. That canonical order (subscriber by subscriber, not
+  // global event order) fixes the latency sample order, which the reported
+  // mean and standard deviation depend on bit for bit.
   void FoldDeliveries() const;
   mutable std::vector<std::vector<std::pair<std::string, double>>>
       delivery_log_;                               // by subscriber idx

@@ -92,8 +92,6 @@ MetricsRegistry::MetricId MetricsRegistry::Histogram(
   slots.counts.assign((slots.bounds.size() + 1) * num_nodes_, 0);
   slots.count_per_node.assign(num_nodes_, 0);
   slots.sum_per_node.assign(num_nodes_, 0.0);
-  slots.min_per_node.assign(num_nodes_, 0.0);
-  slots.max_per_node.assign(num_nodes_, 0.0);
   histograms_.push_back(std::move(slots));
   by_name_[name] = id;
   return id;
@@ -112,8 +110,6 @@ void MetricsRegistry::EnsureNodes(std::size_t count) {
     h.counts.resize((h.bounds.size() + 1) * count, 0);
     h.count_per_node.resize(count, 0);
     h.sum_per_node.resize(count, 0.0);
-    h.min_per_node.resize(count, 0.0);
-    h.max_per_node.resize(count, 0.0);
   }
   num_nodes_ = count;
 }
@@ -149,12 +145,8 @@ void MetricsRegistry::Observe(MetricId id, std::uint32_t node,
     }
   }
   h.counts[node * (h.bounds.size() + 1) + bucket] += 1;
-  if (h.count_per_node[node] == 0 || sample < h.min_per_node[node]) {
-    h.min_per_node[node] = sample;
-  }
-  if (h.count_per_node[node] == 0 || sample > h.max_per_node[node]) {
-    h.max_per_node[node] = sample;
-  }
+  h.min = std::min(h.min, sample);
+  h.max = std::max(h.max, sample);
   h.count_per_node[node] += 1;
   h.sum_per_node[node] += sample;
 }
@@ -221,23 +213,17 @@ MetricsRegistry::Snapshot MetricsRegistry::Snap() const {
         const HistogramSlots& h = histograms_[m.slot];
         out.histogram.bounds = h.bounds;
         out.histogram.counts.assign(h.bounds.size() + 1, 0);
-        bool any = false;
         for (std::size_t node = 0; node < num_nodes_; ++node) {
           for (std::size_t b = 0; b <= h.bounds.size(); ++b) {
             out.histogram.counts[b] += h.counts[node * (h.bounds.size() + 1) + b];
           }
           out.histogram.count += h.count_per_node[node];
           out.histogram.sum += h.sum_per_node[node];
-          if (h.count_per_node[node] == 0) continue;
-          if (!any || h.min_per_node[node] < out.histogram.min) {
-            out.histogram.min = h.min_per_node[node];
-          }
-          if (!any || h.max_per_node[node] > out.histogram.max) {
-            out.histogram.max = h.max_per_node[node];
-          }
-          any = true;
         }
-        if (!any) out.histogram.min = out.histogram.max = 0.0;
+        if (out.histogram.count > 0) {
+          out.histogram.min = h.min;
+          out.histogram.max = h.max;
+        }
         break;
       }
     }
@@ -350,8 +336,8 @@ void MetricsRegistry::Reset() {
     std::fill(h.counts.begin(), h.counts.end(), 0);
     std::fill(h.count_per_node.begin(), h.count_per_node.end(), 0);
     std::fill(h.sum_per_node.begin(), h.sum_per_node.end(), 0.0);
-    std::fill(h.min_per_node.begin(), h.min_per_node.end(), 0.0);
-    std::fill(h.max_per_node.begin(), h.max_per_node.end(), 0.0);
+    h.min = std::numeric_limits<double>::infinity();
+    h.max = -std::numeric_limits<double>::infinity();
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -96,16 +97,15 @@ class MetricsRegistry {
     MetricKind kind;
     std::uint32_t slot;  // index into the kind-specific storage below
   };
-  // All slots are per-node so concurrent shards never write the same
-  // word (each simulated node executes on exactly one shard); min/max are
-  // folded across nodes at Snap() time.
+  // Counts and sums are per node and folded across nodes, in node order,
+  // at Snap() time; the reported sum depends on that fold order.
   struct HistogramSlots {
     std::vector<double> bounds;
     std::vector<std::uint64_t> counts;  // node-major, (bounds+1) per node
     std::vector<std::uint64_t> count_per_node;
     std::vector<double> sum_per_node;
-    std::vector<double> min_per_node;
-    std::vector<double> max_per_node;
+    double min = std::numeric_limits<double>::infinity();  // over all nodes
+    double max = -std::numeric_limits<double>::infinity();
   };
 
   std::vector<Metric> metrics_;

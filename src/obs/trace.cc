@@ -134,22 +134,8 @@ std::optional<std::uint32_t> ParseCategoryMask(std::string_view list) {
   return mask;
 }
 
-namespace internal {
-
-ExecStamp& TlsExecStamp() noexcept {
-  thread_local ExecStamp stamp;
-  return stamp;
-}
-
-}  // namespace internal
-
 EventTracer::EventTracer(std::size_t capacity, std::uint32_t category_mask)
     : ring_(std::max<std::size_t>(1, capacity)), mask_(category_mask) {}
-
-void EventTracer::WriteToRing(const TraceEvent& src) noexcept {
-  ring_[total_ % ring_.size()] = src;
-  ++total_;
-}
 
 void EventTracer::Record(double time, std::uint32_t node,
                          EventCategory category, const char* type,
@@ -163,49 +149,10 @@ void EventTracer::Record(double time, std::uint32_t node,
   ev.type = type;
   ev.a = a;
   ev.b = b;
-  const std::size_t n = std::min(detail.size(), sizeof ev.detail - 1);
-  std::memcpy(ev.detail, detail.data(), n);
-  ev.detail[n] = '\0';
-  if (staging_) {
-    const internal::ExecStamp& stamp = internal::TlsExecStamp();
-    if (stamp.active) {
-      auto& stage = stages_[static_cast<std::size_t>(stamp.shard)];
-      stage.push_back({stamp, stage.size(), ev});
-      return;
-    }
-  }
-  WriteToRing(ev);
-}
-
-void EventTracer::BeginStaging(std::size_t shards) {
-  if (stages_.size() < shards) stages_.resize(shards);
-  staging_ = true;
-}
-
-void EventTracer::CommitStaging() {
-  staging_ = false;
-  std::size_t n = 0;
-  for (const auto& s : stages_) n += s.size();
-  if (n == 0) return;
-  std::vector<const StagedEvent*> merged;
-  merged.reserve(n);
-  for (const auto& s : stages_) {
-    for (const auto& rec : s) merged.push_back(&rec);
-  }
-  // Records of one event share a stamp and live in one stage, so `idx`
-  // preserves within-event emission order; distinct events have distinct
-  // (time, gen, seq, src) keys.
-  std::sort(merged.begin(), merged.end(),
-            [](const StagedEvent* a, const StagedEvent* b) {
-              if (a->stamp.time != b->stamp.time)
-                return a->stamp.time < b->stamp.time;
-              if (a->stamp.gen != b->stamp.gen) return a->stamp.gen < b->stamp.gen;
-              if (a->stamp.seq != b->stamp.seq) return a->stamp.seq < b->stamp.seq;
-              if (a->stamp.src != b->stamp.src) return a->stamp.src < b->stamp.src;
-              return a->idx < b->idx;
-            });
-  for (const StagedEvent* rec : merged) WriteToRing(rec->ev);
-  for (auto& s : stages_) s.clear();
+  // string_view::copy, unlike memcpy, accepts an empty view whose data()
+  // is null.
+  ev.detail[detail.copy(ev.detail, sizeof ev.detail - 1)] = '\0';
+  ring_[total_++ % ring_.size()] = ev;
 }
 
 std::vector<TraceEvent> EventTracer::Events() const {

@@ -19,25 +19,6 @@
 
 namespace nw::obs {
 
-namespace internal {
-
-// The ordering key of the simulator event executing on this thread, set by
-// the parallel engine around each event. When the tracer is staging (see
-// EventTracer::BeginStaging), records are buffered per worker shard under
-// this stamp and merged into the ring in key order at the window barrier,
-// reproducing the exact record order of a 1-thread run.
-struct ExecStamp {
-  double time = 0;
-  std::uint32_t gen = 0;
-  std::uint64_t seq = 0;
-  std::uint32_t src = 0;
-  int shard = -1;
-  bool active = false;
-};
-ExecStamp& TlsExecStamp() noexcept;
-
-}  // namespace internal
-
 enum class EventCategory : std::uint8_t {
   kGossip,    // epidemic rounds and exchanges
   kMerge,     // MIB / zone-table merges
@@ -91,21 +72,9 @@ class EventTracer {
 
   // Records an event unless its category is masked out. Copies `detail`
   // (truncated to the inline buffer); `type` must be a static literal.
-  // While staging is active and an ExecStamp is set for this thread, the
-  // record is buffered in that shard's stage instead of the shared ring.
   void Record(double time, std::uint32_t node, EventCategory category,
               const char* type, std::uint64_t a = 0, std::uint64_t b = 0,
               std::string_view detail = {}) noexcept;
-
-  // ---- parallel-window staging (driven by sim::Simulator) ---------------
-  // Between BeginStaging and CommitStaging, worker threads append records
-  // to per-shard buffers (each shard is single-threaded, so no locking);
-  // CommitStaging merges them into the ring sorted by the executing event's
-  // (time, gen, seq, src) key and the within-event record index — the order
-  // the sequential engine would have written them in.
-  void BeginStaging(std::size_t shards);
-  void CommitStaging();
-  bool staging() const noexcept { return staging_; }
 
   std::size_t capacity() const noexcept { return ring_.size(); }
   std::size_t size() const noexcept { return std::min(total_, ring_.size()); }
@@ -141,19 +110,9 @@ class EventTracer {
   static std::optional<ParsedEvent> ParseJsonlLine(std::string_view line);
 
  private:
-  struct StagedEvent {
-    internal::ExecStamp stamp;
-    std::uint64_t idx = 0;  // per-stage record index (within-event order)
-    TraceEvent ev;
-  };
-
-  void WriteToRing(const TraceEvent& ev) noexcept;
-
   std::vector<TraceEvent> ring_;
   std::uint64_t total_ = 0;  // next write position = total_ % capacity
   std::uint32_t mask_;
-  bool staging_ = false;
-  std::vector<std::vector<StagedEvent>> stages_;  // one per worker shard
 };
 
 }  // namespace nw::obs

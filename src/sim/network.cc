@@ -8,9 +8,7 @@
 namespace nw::sim {
 
 Network::Network(Simulator& sim, NetworkConfig config)
-    : sim_(sim), config_(config) {
-  sim_.SetLookahead(config_.base_latency);
-}
+    : sim_(sim), config_(config) {}
 
 NodeId Network::AddNode(Node* node) {
   assert(node != nullptr);
@@ -25,7 +23,6 @@ NodeId Network::AddNode(Node* node) {
   proc_delay_.push_back(0.0);
   stats_.emplace_back();
   link_rng_.push_back(sim_.Rng().Fork(0x4c696e6bu /*'Link'*/ + id));
-  by_type_per_node_.emplace_back();
   node->net_ = this;
   node->id_ = id;
   node->rng_ = sim_.Rng().Fork(0x4e6f6465u /*'Node'*/ + id);
@@ -64,7 +61,7 @@ void Network::Send(Message msg) {
   const std::size_t wire = msg.wire_bytes + config_.per_message_overhead;
   stats_[from].messages_sent += 1;
   stats_[from].bytes_sent += wire;
-  TypeStats& ts = by_type_per_node_[from][msg.type];
+  TypeStats& ts = by_type_[msg.type];
   ts.messages += 1;
   ts.bytes += wire;
   if (metrics_ != nullptr) {
@@ -137,8 +134,8 @@ void Network::DeliverAt(Message msg, Time arrival, std::size_t wire, bool lost,
   const NodeId to = msg.to;
   const std::uint32_t to_inc = incarnation_[to];
 
-  // The delivery executes in the receiver's context/shard; the base
-  // latency keeps `arrival` beyond the conservative lookahead window.
+  // The delivery runs in the receiver's context, so whatever it schedules
+  // is keyed and owned as the receiver's own event.
   sim_.AtNode(to, arrival, [this, msg = std::move(msg), wire, lost, to, from,
                             to_inc, corrupt, flip_bit]() mutable {
     const bool dead = !alive_[to];
@@ -259,30 +256,15 @@ TrafficStats Network::TotalStats() const {
 
 void Network::ResetStats() {
   std::fill(stats_.begin(), stats_.end(), TrafficStats{});
-  for (auto& per : by_type_per_node_) per.clear();
-  by_type_merged_.clear();
-}
-
-const std::map<std::string, Network::TypeStats>& Network::StatsByType() const {
-  by_type_merged_.clear();
-  for (const auto& per : by_type_per_node_) {
-    for (const auto& [type, ts] : per) {
-      TypeStats& total = by_type_merged_[type];
-      total.messages += ts.messages;
-      total.bytes += ts.bytes;
-    }
-  }
-  return by_type_merged_;
+  by_type_.clear();
 }
 
 Network::TypeStats Network::StatsForTypePrefix(const std::string& prefix) const {
   TypeStats total;
-  for (const auto& per : by_type_per_node_) {
-    for (const auto& [type, ts] : per) {
-      if (type.compare(0, prefix.size(), prefix) == 0) {
-        total.messages += ts.messages;
-        total.bytes += ts.bytes;
-      }
+  for (const auto& [type, ts] : by_type_) {
+    if (type.compare(0, prefix.size(), prefix) == 0) {
+      total.messages += ts.messages;
+      total.bytes += ts.bytes;
     }
   }
   return total;

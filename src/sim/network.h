@@ -41,9 +41,6 @@ struct TrafficStats {
 
 class Network {
  public:
-  // Registers the network's base latency as the simulator's conservative
-  // lookahead: no message between nodes arrives sooner, so shards may
-  // advance that far independently (DESIGN.md §9).
   Network(Simulator& sim, NetworkConfig config);
 
   Network(const Network&) = delete;
@@ -87,9 +84,7 @@ class Network {
     uplink_rate_[id] = config_.uplink_bytes_per_sec;
   }
 
-  // Gray-failure knobs (DESIGN.md §10). All are mutated from plan timers
-  // (global-context events, executed at window barriers), so shard-local
-  // reads are race-free like the loss/partition state above.
+  // Gray-failure knobs (DESIGN.md §10), mutated from plan timers.
   //
   // Processing slowdown: multiplies every Node::Schedule delay on the
   // node, so a gray node's own timers (gossip rounds, ack timeouts, queue
@@ -125,7 +120,9 @@ class Network {
     std::uint64_t messages = 0;
     std::uint64_t bytes = 0;
   };
-  const std::map<std::string, TypeStats>& StatsByType() const;
+  const std::map<std::string, TypeStats>& StatsByType() const {
+    return by_type_;
+  }
   // Sum over every type whose name starts with `prefix`.
   TypeStats StatsForTypePrefix(const std::string& prefix) const;
 
@@ -137,12 +134,7 @@ class Network {
   // network. Layers above reach them through node.network().metrics() etc.
   void SetMetrics(obs::MetricsRegistry* metrics);
   obs::MetricsRegistry* metrics() const noexcept { return metrics_; }
-  // Also registers the tracer with the simulator so parallel windows can
-  // stage and merge its records deterministically; install before running.
-  void SetTracer(obs::EventTracer* tracer) noexcept {
-    tracer_ = tracer;
-    sim_.SetTracer(tracer);
-  }
+  void SetTracer(obs::EventTracer* tracer) noexcept { tracer_ = tracer; }
   obs::EventTracer* tracer() const noexcept { return tracer_; }
 
  private:
@@ -168,10 +160,7 @@ class Network {
   // AddNode so stochastic outcomes depend only on that sender's own
   // (deterministic) send sequence, never on cross-node interleaving.
   std::vector<util::DeterministicRng> link_rng_;
-  // Per-sender type accounting (single-writer under sharded execution),
-  // folded into `by_type_merged_` on demand.
-  std::vector<std::map<std::string, TypeStats>> by_type_per_node_;
-  mutable std::map<std::string, TypeStats> by_type_merged_;
+  std::map<std::string, TypeStats> by_type_;
 
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::EventTracer* tracer_ = nullptr;

@@ -2,201 +2,57 @@
 
 #include <algorithm>
 #include <cassert>
-#include <condition_variable>
-#include <limits>
-#include <mutex>
-#include <thread>
-
-#include "obs/trace.h"
 
 namespace nw::sim {
 
-// ---- heap ---------------------------------------------------------------
-
-// Lexicographic event-key order: (time, gen, seq, src). See simulator.h for
-// why this order is both a total order and equal to sequential pop order.
-static inline bool EventKeyLess(const auto& a, const auto& b) noexcept {
-  if (a.time != b.time) return a.time < b.time;
-  if (a.gen != b.gen) return a.gen < b.gen;
-  if (a.seq != b.seq) return a.seq < b.seq;
-  return a.src < b.src;
-}
-
-// min-heap: front = smallest key
-static constexpr auto kHeapLater = [](const auto& a, const auto& b) noexcept {
-  return EventKeyLess(b, a);
-};
-
-void Simulator::Queue::push(Event e) {
-  v.push_back(std::move(e));
-  std::push_heap(v.begin(), v.end(), kHeapLater);
-}
-
-Simulator::Event Simulator::Queue::pop() {
-  std::pop_heap(v.begin(), v.end(), kHeapLater);
-  Event e = std::move(v.back());
-  v.pop_back();
-  return e;
-}
-
-// ---- execution-context TLS ----------------------------------------------
-
 namespace {
 
-// The event currently executing on this thread (if any): supplies the
-// shard-local clock, the scheduling context for key assignment, and the
-// stamp the tracer stages records under during parallel windows.
-struct ExecTls {
-  const Simulator* sim = nullptr;
-  Time now = 0;
-  Time time = 0;         // executing event's time
-  std::uint32_t gen = 0;
-  std::uint32_t owner = kGlobalContext;
-  int shard = -1;        // -1: sequential / barrier execution
-  bool active = false;
+// min-heap comparator: a sorts after b in (time, gen, seq, src) order.
+constexpr auto kHeapLater = [](const auto& a, const auto& b) noexcept {
+  if (a.time != b.time) return a.time > b.time;
+  if (a.gen != b.gen) return a.gen > b.gen;
+  if (a.seq != b.seq) return a.seq > b.seq;
+  return a.src > b.src;
 };
-
-thread_local ExecTls tls_exec;
 
 }  // namespace
 
-// ---- worker pool --------------------------------------------------------
-
-struct Simulator::Pool {
-  Simulator& sim;
-  std::vector<std::thread> workers;
-  std::mutex m;
-  std::condition_variable cv_start;
-  std::condition_variable cv_done;
-  std::uint64_t epoch = 0;
-  unsigned pending = 0;
-  Time hi = 0;
-  bool inclusive = false;
-  bool stop = false;
-
-  Pool(Simulator& s, unsigned n) : sim(s) {
-    workers.reserve(n);
-    for (unsigned i = 0; i < n; ++i) {
-      workers.emplace_back([this, i] { Loop(i); });
-    }
-  }
-
-  ~Pool() {
-    {
-      std::lock_guard<std::mutex> lk(m);
-      stop = true;
-      ++epoch;
-    }
-    cv_start.notify_all();
-    for (auto& t : workers) t.join();
-  }
-
-  void RunWindow(Time h, bool inc) {
-    {
-      std::lock_guard<std::mutex> lk(m);
-      hi = h;
-      inclusive = inc;
-      pending = static_cast<unsigned>(workers.size());
-      ++epoch;
-    }
-    cv_start.notify_all();
-    std::unique_lock<std::mutex> lk(m);
-    cv_done.wait(lk, [this] { return pending == 0; });
-  }
-
-  void Loop(unsigned shard) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      Time h;
-      bool inc;
-      {
-        std::unique_lock<std::mutex> lk(m);
-        cv_start.wait(lk, [&] { return epoch != seen; });
-        seen = epoch;
-        if (stop) return;
-        h = hi;
-        inc = inclusive;
-      }
-      sim.RunShardWindow(shard, h, inc);
-      {
-        std::lock_guard<std::mutex> lk(m);
-        if (--pending == 0) cv_done.notify_all();
-      }
-    }
-  }
-};
-
-// ---- simulator ----------------------------------------------------------
-
-Simulator::Simulator(std::uint64_t seed) : rng_(seed), shard_q_(1) {}
-
-Simulator::~Simulator() = default;
-
-Time Simulator::Now() const noexcept {
-  if (tls_exec.active && tls_exec.sim == this) return tls_exec.now;
-  return now_;
-}
-
-std::uint64_t Simulator::NextSeq(std::uint32_t src) {
-  if (src == kGlobalContext) return global_seq_++;
-  assert(src < ctx_seq_.size());
-  return ctx_seq_[src]++;
-}
+Simulator::Simulator(std::uint64_t seed) : rng_(seed) {}
 
 void Simulator::Push(std::uint32_t owner, Time t, std::function<void()> fn) {
+  assert(t >= now_);
   Event e;
   e.time = t;
   e.owner = owner;
   e.fn = std::move(fn);
-  if (tls_exec.active && tls_exec.sim == this) {
-    assert(t >= tls_exec.now);
-    e.src = tls_exec.owner;
-    e.gen = (t == tls_exec.time) ? tls_exec.gen + 1 : 0;
+  if (exec_.active) {
+    e.src = exec_.owner;
+    e.gen = (t == now_) ? exec_.gen + 1 : 0;
+  }
+  if (e.src == kGlobalContext) {
+    e.seq = global_seq_++;
   } else {
-    assert(t >= now_);
-    e.src = kGlobalContext;
-    e.gen = 0;
+    assert(e.src < ctx_seq_.size());
+    e.seq = ctx_seq_[e.src]++;
   }
-  e.seq = NextSeq(e.src);
-
-  const int target =
-      e.owner == kGlobalContext
-          ? -1
-          : static_cast<int>(e.owner % static_cast<std::uint32_t>(
-                                           shard_q_.size()));
-  if (tls_exec.active && tls_exec.sim == this && tls_exec.shard >= 0 &&
-      target != tls_exec.shard) {
-    // Cross-shard (or global) push from inside a parallel window: queue in
-    // this shard's outbox; the barrier drains it before the next window.
-    // Lookahead guarantees such events land at or after the window end.
-    outbox_[static_cast<std::size_t>(tls_exec.shard)].push_back(std::move(e));
-    return;
-  }
-  if (target < 0) {
-    global_q_.push(std::move(e));
-  } else {
-    shard_q_[static_cast<std::size_t>(target)].push(std::move(e));
-  }
+  heap_.push_back(std::move(e));
+  std::push_heap(heap_.begin(), heap_.end(), kHeapLater);
 }
 
-void Simulator::RouteDirect(Event e) {
-  if (e.owner == kGlobalContext) {
-    global_q_.push(std::move(e));
-    return;
-  }
-  shard_q_[e.owner % shard_q_.size()].push(std::move(e));
+Simulator::Event Simulator::Pop() {
+  std::pop_heap(heap_.begin(), heap_.end(), kHeapLater);
+  Event e = std::move(heap_.back());
+  heap_.pop_back();
+  return e;
 }
 
 void Simulator::At(Time t, std::function<void()> fn) {
-  const std::uint32_t owner = (tls_exec.active && tls_exec.sim == this)
-                                  ? tls_exec.owner
-                                  : kGlobalContext;
-  Push(owner, t, std::move(fn));
+  Push(exec_.owner, t, std::move(fn));
 }
 
 void Simulator::After(Time delay, std::function<void()> fn) {
   assert(delay >= 0);
-  At(Now() + delay, std::move(fn));
+  At(now_ + delay, std::move(fn));
 }
 
 void Simulator::AtNode(std::uint32_t owner, Time t, std::function<void()> fn) {
@@ -204,147 +60,33 @@ void Simulator::AtNode(std::uint32_t owner, Time t, std::function<void()> fn) {
   Push(owner, t, std::move(fn));
 }
 
-void Simulator::SetThreads(unsigned n) {
-  n = std::max(1u, n);
-  if (n == threads_) return;
-  assert(!(tls_exec.active && tls_exec.sim == this));
-  pool_.reset();
-  threads_ = n;
-  // Re-route pending node events into the new shard layout.
-  std::vector<Event> pending;
-  for (auto& q : shard_q_) {
-    for (auto& e : q.v) pending.push_back(std::move(e));
-    q.v.clear();
-  }
-  shard_q_.clear();
-  shard_q_.resize(n);
-  outbox_.assign(n, {});
-  for (auto& e : pending) RouteDirect(std::move(e));
-  if (n > 1) pool_ = std::make_unique<Pool>(*this, n);
-}
-
 void Simulator::EnsureContexts(std::uint32_t count) {
   if (count > ctx_seq_.size()) ctx_seq_.resize(count, 0);
 }
 
-std::size_t Simulator::PendingEvents() const noexcept {
-  std::size_t n = global_q_.size();
-  for (const auto& q : shard_q_) n += q.size();
-  for (const auto& ob : outbox_) n += ob.size();
-  return n;
-}
-
-Simulator::Queue* Simulator::MinQueue() {
-  Queue* best = global_q_.empty() ? nullptr : &global_q_;
-  for (auto& q : shard_q_) {
-    if (q.empty()) continue;
-    if (best == nullptr || EventKeyLess(q.top(), best->top())) best = &q;
-  }
-  return best;
-}
-
-void Simulator::ExecSequential(Event e) {
+void Simulator::Exec(Event e) {
   assert(e.time >= now_);
   now_ = e.time;
-  const ExecTls saved = tls_exec;
-  tls_exec = {this, e.time, e.time, e.gen, e.owner, -1, true};
+  const ExecContext saved = exec_;
+  exec_ = {true, e.owner, e.gen};
   e.fn();
-  tls_exec = saved;
+  exec_ = saved;
 }
 
 bool Simulator::Step() {
-  Queue* best = MinQueue();
-  if (best == nullptr) return false;
-  ExecSequential(best->pop());
+  if (heap_.empty()) return false;
+  Exec(Pop());
   return true;
 }
 
-void Simulator::RunSequential(Time t, bool bounded) {
-  for (;;) {
-    Queue* best = MinQueue();
-    if (best == nullptr) break;
-    if (bounded && best->top().time > t) break;
-    ExecSequential(best->pop());
-  }
+void Simulator::RunUntil(Time t) {
+  while (!heap_.empty() && heap_.front().time <= t) Exec(Pop());
+  if (now_ < t) now_ = t;
 }
 
-void Simulator::RunShardWindow(unsigned shard, Time hi, bool inclusive) {
-  Queue& q = shard_q_[shard];
-  tls_exec = {this, now_, now_, 0, kGlobalContext, static_cast<int>(shard),
-              true};
-  auto& stamp = obs::internal::TlsExecStamp();
-  while (!q.empty()) {
-    const Event& top = q.top();
-    if (inclusive ? top.time > hi : top.time >= hi) break;
-    Event e = q.pop();
-    tls_exec.now = e.time;
-    tls_exec.time = e.time;
-    tls_exec.gen = e.gen;
-    tls_exec.owner = e.owner;
-    stamp = {e.time, e.gen, e.seq, e.src, static_cast<int>(shard), true};
-    e.fn();
-    stamp.active = false;
-  }
-  tls_exec = ExecTls{};
-}
-
-void Simulator::RunParallel(Time t, bool bounded) {
-  constexpr Time kInf = std::numeric_limits<Time>::infinity();
-  for (;;) {
-    Time tmin = global_q_.empty() ? kInf : global_q_.top().time;
-    const Time tg = tmin;
-    for (const auto& q : shard_q_) {
-      if (!q.empty()) tmin = std::min(tmin, q.top().time);
-    }
-    if (tmin == kInf) break;
-    if (bounded && tmin > t) break;
-
-    if (tg <= tmin) {
-      // A global event is (among the) earliest pending: global events read
-      // and write whole-network state, so the instant tg executes fully
-      // sequentially, interleaving global and node events in key order
-      // exactly as the 1-thread engine would.
-      for (;;) {
-        Queue* best = MinQueue();
-        if (best == nullptr || best->top().time != tg) break;
-        ExecSequential(best->pop());
-      }
-      continue;
-    }
-
-    // Conservative window [tmin, hi): every shard advances independently;
-    // cross-shard messages cannot arrive before tmin + lookahead.
-    Time hi = std::min(tmin + lookahead_, tg);
-    bool inclusive = false;
-    if (bounded && hi > t) {
-      hi = t;
-      inclusive = true;  // final window: events at exactly t still fire
-    }
-    if (tracer_ != nullptr) tracer_->BeginStaging(shard_q_.size());
-    pool_->RunWindow(hi, inclusive);
-    // Barrier: drain cross-shard outboxes in canonical shard order (the
-    // heaps re-sort by key, so drain order never shows), then merge the
-    // staged trace records by event key.
-    for (auto& ob : outbox_) {
-      for (auto& e : ob) RouteDirect(std::move(e));
-      ob.clear();
-    }
-    if (tracer_ != nullptr) tracer_->CommitStaging();
-    now_ = std::max(now_, hi);
+void Simulator::RunUntilIdle() {
+  while (Step()) {
   }
 }
-
-void Simulator::RunCore(Time t, bool bounded) {
-  if (threads_ <= 1 || lookahead_ <= 0 || pool_ == nullptr) {
-    RunSequential(t, bounded);
-  } else {
-    RunParallel(t, bounded);
-  }
-  if (bounded && now_ < t) now_ = t;
-}
-
-void Simulator::RunUntil(Time t) { RunCore(t, /*bounded=*/true); }
-
-void Simulator::RunUntilIdle() { RunCore(0, /*bounded=*/false); }
 
 }  // namespace nw::sim

@@ -1,34 +1,26 @@
-// Deterministic discrete-event simulator core: a clock and an event queue,
-// optionally sharded across worker threads (DESIGN.md §9).
+// Deterministic discrete-event simulator core: a clock and one event heap
+// (DESIGN.md §9).
 //
-// Every event carries an engine-independent ordering key
-// (time, gen, seq, src):
+// Every event carries an ordering key (time, gen, seq, src):
 //   time  simulated seconds of the event
 //   src   the execution context that *scheduled* it: the node whose event
 //         was running at scheduling time, or kGlobalContext for harness /
 //         fault-plan / setup code
 //   seq   a per-src monotone counter, advanced only by that context's own
-//         (deterministic, single-threaded) execution
+//         execution
 //   gen   same-time generation: events scheduled at exactly the executing
-//         event's time sort one generation later, so the sequential pop
-//         order of the heap equals the global lexicographic key order
+//         event's time sort one generation later
 //
-// Because the key never depends on cross-context interleaving, a run can be
-// partitioned into per-node shards advanced in conservative time windows
-// (lookahead = minimum cross-shard message latency) and still execute —
-// and trace — every event in exactly the order the 1-thread engine would.
+// The heap pops in lexicographic key order. The committed golden trace and
+// delivery digests encode that order, so it is part of the simulator's
+// contract, not an implementation detail.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "util/rng.h"
-
-namespace nw::obs {
-class EventTracer;
-}  // namespace nw::obs
 
 namespace nw::sim {
 
@@ -41,50 +33,29 @@ inline constexpr std::uint32_t kGlobalContext = 0xffffffffu;
 class Simulator {
  public:
   explicit Simulator(std::uint64_t seed = 1);
-  ~Simulator();
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  // Current simulated time. Inside an event this is the event's time (in
-  // parallel windows each shard carries its own clock).
-  Time Now() const noexcept;
+  // Current simulated time. Inside an event this is the event's time.
+  Time Now() const noexcept { return now_; }
 
-  // Schedules fn at absolute time t (>= Now()). The event executes in the
-  // scheduling context's shard: a node's timer stays with that node, and
-  // harness code schedules global events that act as window barriers.
+  // Schedules fn at absolute time t (>= Now()) in the scheduling context:
+  // a node's timer stays with that node, harness code schedules global
+  // events.
   void At(Time t, std::function<void()> fn);
 
   // Schedules fn after a relative delay (>= 0).
   void After(Time delay, std::function<void()> fn);
 
-  // Schedules fn at absolute time t to execute in `owner`'s context/shard.
-  // Used by the network for deliveries addressed to `owner`; requires
-  // t >= Now() + Lookahead() when `owner` lives in another shard (the
-  // conservative-window safety condition — network latency provides it).
+  // Schedules fn at absolute time t to execute in `owner`'s context. Used
+  // by the network for deliveries addressed to `owner`.
   void AtNode(std::uint32_t owner, Time t, std::function<void()> fn);
-
-  // ---- parallel engine configuration ------------------------------------
-  // Number of worker shards (1 = classic sequential engine). May be called
-  // between runs; pending events are re-routed. Results are bit-identical
-  // for any thread count.
-  void SetThreads(unsigned n);
-  unsigned Threads() const noexcept { return threads_; }
-
-  // Minimum cross-shard message latency (the conservative lookahead).
-  // Installed by the Network from its base latency; a lookahead of 0
-  // disables parallel execution (the engine falls back to sequential).
-  void SetLookahead(Time w) noexcept { lookahead_ = w; }
-  Time Lookahead() const noexcept { return lookahead_; }
 
   // Pre-sizes the per-context sequence counters; every node id used with
   // AtNode or as a scheduling context must be registered (Network::AddNode
   // does this). Setup-time only.
   void EnsureContexts(std::uint32_t count);
-
-  // Tracer whose staged records are merged at window barriers. Installed by
-  // Network::SetTracer; must happen before the run starts.
-  void SetTracer(obs::EventTracer* tracer) noexcept { tracer_ = tracer; }
 
   // ---- run loop ----------------------------------------------------------
   // Runs events until the queue empties or the clock would pass `t`
@@ -95,11 +66,10 @@ class Simulator {
   // Runs until no events remain. Only safe when no recurring timers exist.
   void RunUntilIdle();
 
-  // Executes the single earliest event (sequentially, regardless of thread
-  // configuration). Returns false if none remain.
+  // Executes the single earliest event. Returns false if none remain.
   bool Step();
 
-  std::size_t PendingEvents() const noexcept;
+  std::size_t PendingEvents() const noexcept { return heap_.size(); }
 
   util::DeterministicRng& Rng() noexcept { return rng_; }
 
@@ -112,42 +82,25 @@ class Simulator {
     std::uint32_t owner = kGlobalContext;
     std::function<void()> fn;
   };
-  // Binary min-heap by (time, gen, seq, src); pop moves, never copies.
-  struct Queue {
-    std::vector<Event> v;
-    void push(Event e);
-    Event pop();
-    const Event& top() const noexcept { return v.front(); }
-    bool empty() const noexcept { return v.empty(); }
-    std::size_t size() const noexcept { return v.size(); }
-  };
-  struct Pool;
 
-  std::uint64_t NextSeq(std::uint32_t src);
   void Push(std::uint32_t owner, Time t, std::function<void()> fn);
-  void RouteDirect(Event e);
-  Queue* MinQueue();
-  void ExecSequential(Event e);
-  void RunShardWindow(unsigned shard, Time hi, bool inclusive);
-  void RunSequential(Time t, bool bounded);
-  void RunParallel(Time t, bool bounded);
-  void RunCore(Time t, bool bounded);
+  Event Pop();
+  void Exec(Event e);
 
   Time now_ = 0;
   util::DeterministicRng rng_;
   std::uint64_t global_seq_ = 0;
   std::vector<std::uint64_t> ctx_seq_;  // per-node scheduling counters
+  std::vector<Event> heap_;  // binary min-heap by (time, gen, seq, src)
 
-  unsigned threads_ = 1;
-  Time lookahead_ = 0;
-  Queue global_q_;
-  std::vector<Queue> shard_q_;               // size == max(threads_, 1)
-  std::vector<std::vector<Event>> outbox_;   // per-producing-shard, drained
-                                             // at window barriers
-  obs::EventTracer* tracer_ = nullptr;
-  std::unique_ptr<Pool> pool_;
-
-  friend struct Pool;
+  // The executing event's context and generation; outside any event the
+  // context is global and `active` is false.
+  struct ExecContext {
+    bool active = false;
+    std::uint32_t owner = kGlobalContext;
+    std::uint32_t gen = 0;
+  };
+  ExecContext exec_;
 };
 
 }  // namespace nw::sim

@@ -74,9 +74,6 @@ DeliveryRecorder::DeliveryRecorder(newswire::NewswireSystem& sys)
           rec.item_id = item.Id();
           rec.subject = item.subject;
           rec.scope = item.scope;
-          // Only subscriber i's own events run this handler, so the
-          // per-subscriber buffer stays single-writer under the parallel
-          // engine; trace() merges the buffers canonically.
           per_sub_[i].push_back(std::move(rec));
         });
   }

@@ -58,12 +58,9 @@ struct DeliveryRecord {
 // the full delivery trace. Construct before running the scenario and keep
 // alive for the lifetime of the system.
 //
-// Handlers run inside simulator events, which may execute on different
-// worker shards concurrently under the parallel engine (DESIGN.md §9), so
-// each subscriber appends to its own single-writer buffer. trace() merges
-// the buffers canonically by (time, subscriber, arrival order), which is
-// identical for every thread count — the merged trace and TraceHash() are
-// engine-mode-independent.
+// Each subscriber appends to its own buffer, and trace() merges the buffers
+// canonically by (time, subscriber, arrival order). TraceHash() and the
+// pinned goldens in tests/golden_replay_test.cc encode that order.
 class DeliveryRecorder {
  public:
   explicit DeliveryRecorder(newswire::NewswireSystem& sys);
@@ -71,17 +68,16 @@ class DeliveryRecorder {
   DeliveryRecorder(const DeliveryRecorder&) = delete;
   DeliveryRecorder& operator=(const DeliveryRecorder&) = delete;
 
-  // Canonically merged trace; call only outside RunFor (between windows).
+  // Canonically merged trace, re-merged when new deliveries arrived.
   const std::vector<DeliveryRecord>& trace() const;
 
   // Order-sensitive digest of the whole trace; two runs of the same
-  // (config, seed, fault plan) must produce equal hashes — at any
-  // --sim-threads setting.
+  // (config, seed, fault plan) must produce equal hashes.
   std::uint64_t TraceHash() const;
 
  private:
   newswire::NewswireSystem& sys_;
-  // Per-subscriber append-only buffers (single writer: that node's events).
+  // Per-subscriber append-only buffers.
   std::vector<std::vector<DeliveryRecord>> per_sub_;
   mutable std::vector<DeliveryRecord> trace_;  // cached canonical merge
 };

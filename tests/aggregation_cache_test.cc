@@ -18,7 +18,7 @@
 //     hash, same (kAggregation-masked) trace sequence hash, same per-agent
 //     gossip counters.
 //  5. Full NewsWire stack under a committed chaos cocktail: the delivery
-//     trace is bit-identical across both engines and --sim-threads 1/4.
+//     trace is bit-identical across both engines.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -454,17 +454,15 @@ TEST_P(AggregationEquivalence, IncrementalIsBitIdenticalToForceFull) {
 INSTANTIATE_TEST_SUITE_P(FaultSeeds, AggregationEquivalence,
                          ::testing::Range<std::uint64_t>(1, 21));
 
-// ---- 5. full stack: chaos cocktail, both engines, 1 and 4 shards -------
+// ---- 5. full stack: chaos cocktail, both engines -----------------------
 
 constexpr const char* kCocktail =
     "gray@5..30 node=2 factor=8 delay=0.05; corrupt@8..22 p=0.03; "
     "dup@12..26 p=0.08; asym@10..18 groups=24,25,26,27|28,29,30,31";
 
-std::vector<testing::DeliveryRecord> RunStack(bool force_full,
-                                              unsigned sim_threads) {
+std::vector<testing::DeliveryRecord> RunStack(bool force_full) {
   newswire::SystemConfig cfg = testing::CommittedScenarioConfig();
   cfg.seed = 20260808;
-  cfg.sim_threads = sim_threads;
   cfg.force_full_recompute = force_full;
   newswire::NewswireSystem sys(cfg);
   testing::DeliveryRecorder recorder(sys);
@@ -483,16 +481,11 @@ std::vector<testing::DeliveryRecord> RunStack(bool force_full,
 }
 
 TEST(AggregationEquivalenceSystem, ChaosDeliveryTraceIdenticalAcrossEngines) {
-  const auto incremental = RunStack(false, 1);
-  const auto full = RunStack(true, 1);
+  const auto incremental = RunStack(false);
+  const auto full = RunStack(true);
   EXPECT_FALSE(incremental.empty());
   const auto engines = testing::CheckReplayIdentical(incremental, full);
   EXPECT_TRUE(engines.ok()) << engines.Summary();
-  // The incremental engine must also keep the parallel golden-trace
-  // guarantee: 4 worker shards replay the 1-shard run bit-identically.
-  const auto threaded = RunStack(false, 4);
-  const auto shards = testing::CheckReplayIdentical(incremental, threaded);
-  EXPECT_TRUE(shards.ok()) << shards.Summary();
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
-// Determinism regression guard (ISSUE 8 satellite): rerun a randomized
-// torture-style churn seed twice per engine mode and require bit-identical
-// trace hashes — within a mode (no hash-container iteration order, no
-// address-dependent ordering, no hidden global RNG draws leaked into the
-// run) and across modes (the parallel engine reproduces the sequential
-// interleaving exactly, DESIGN.md §9).
+// Determinism regression guard: rerun a randomized torture-style churn seed
+// twice and require bit-identical digests (no hash-container iteration
+// order, no address-dependent ordering, no hidden global RNG draws leaked
+// into the run). golden_replay_test.cc additionally pins the same run's
+// digests as committed constants.
 //
 // This is the test that would have caught the historical failure classes
 // audited for this suite: protocol decisions driven by unordered_map/
@@ -11,100 +10,25 @@
 // on scheduling.
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#include "newswire/system.h"
-#include "obs/trace.h"
-#include "sim/fault_plan.h"
-#include "testing/invariants.h"
+#include "scenarios.h"
 
 namespace nw::newswire {
 namespace {
 
-struct ChurnDigest {
-  std::uint64_t delivered = 0;
-  std::uint64_t delivery_hash = 0;
-  std::uint64_t event_hash = 0;
-  std::uint64_t mib_hash = 0;
-  std::string plan_text;
-};
+using testing::ChurnDigest;
+using testing::kTortureSeed;
+using testing::RunTortureChurn;
 
-ChurnDigest RunChurn(std::uint64_t seed, unsigned threads) {
-  obs::EventTracer tracer(1 << 18);
-  SystemConfig cfg;
-  cfg.num_subscribers = 31;
-  cfg.num_publishers = 1;
-  cfg.branching = 4;
-  cfg.catalog_size = 3;
-  cfg.subjects_per_subscriber = 3;  // everyone subscribes everything
-  cfg.multicast.redundancy = 2;
-  cfg.subscriber.repair_interval = 4.0;
-  cfg.subscriber.repair_window = 3600.0;
-  cfg.gossip_period = 1.0;
-  cfg.seed = seed;
-  cfg.sim_threads = threads;
-  cfg.tracer = &tracer;
-  NewswireSystem sys(cfg);
-  testing::DeliveryRecorder recorder(sys);
-  sys.RunFor(10);
-
-  std::vector<sim::NodeId> victims;
-  for (std::size_t i = 0; i < sys.subscriber_count(); ++i) {
-    victims.push_back(sys.subscriber_agent(i).id());
-  }
-  sim::FaultPlan::RandomOptions opt;
-  opt.horizon = 60;
-  opt.min_quiescence = 15;
-  opt.max_events = 24;
-  opt.max_dead = 6;
-  const sim::FaultPlan plan = sim::FaultPlan::Random(seed, victims, opt);
-
-  const double base = sys.Now();
-  plan.ApplyTo(sys.deployment().net(), base);
-  for (int step = 0; step < 60; ++step) {
-    sys.deployment().sim().At(base + step, [&sys, step] {
-      sys.PublishArticle(0, sys.catalog()[std::size_t(step) % 3]);
-    });
-  }
-  sys.RunFor(60 + 180);
-
-  ChurnDigest out;
-  out.delivered = sys.total_delivered();
-  out.delivery_hash = recorder.TraceHash();
-  out.event_hash = tracer.SequenceHash();
-  out.mib_hash = testing::MibContentHash(sys.deployment());
-  out.plan_text = plan.ToString();
-  return out;
-}
-
-void ExpectEqualDigests(const ChurnDigest& a, const ChurnDigest& b) {
+TEST(DeterminismRegression, TortureSeedReplaysIdenticallySequential) {
+  const ChurnDigest a = RunTortureChurn(kTortureSeed);
+  const ChurnDigest b = RunTortureChurn(kTortureSeed);
+  EXPECT_GT(a.delivered, 0u);
   EXPECT_EQ(a.plan_text, b.plan_text);
   EXPECT_EQ(a.delivered, b.delivered) << "plan: " << a.plan_text;
   EXPECT_EQ(a.delivery_hash, b.delivery_hash) << "plan: " << a.plan_text;
   EXPECT_EQ(a.event_hash, b.event_hash) << "plan: " << a.plan_text;
+  EXPECT_EQ(a.events_recorded, b.events_recorded) << "plan: " << a.plan_text;
   EXPECT_EQ(a.mib_hash, b.mib_hash) << "plan: " << a.plan_text;
-}
-
-constexpr std::uint64_t kSeed = 0x20260808;
-
-TEST(DeterminismRegression, TortureSeedReplaysIdenticallySequential) {
-  const ChurnDigest a = RunChurn(kSeed, 1);
-  const ChurnDigest b = RunChurn(kSeed, 1);
-  EXPECT_GT(a.delivered, 0u);
-  ExpectEqualDigests(a, b);
-}
-
-TEST(DeterminismRegression, TortureSeedReplaysIdenticallyParallel) {
-  const ChurnDigest a = RunChurn(kSeed, 4);
-  const ChurnDigest b = RunChurn(kSeed, 4);
-  EXPECT_GT(a.delivered, 0u);
-  ExpectEqualDigests(a, b);
-}
-
-TEST(DeterminismRegression, TortureSeedIdenticalAcrossEngineModes) {
-  ExpectEqualDigests(RunChurn(kSeed, 1), RunChurn(kSeed, 4));
 }
 
 }  // namespace

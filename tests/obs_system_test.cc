@@ -16,8 +16,9 @@
 // binary and reading the printed hashes:
 //   cmake --build build --target obs_system_test && \
 //     ./build/tests/obs_system_test --gtest_filter='ObsGoldenTrace.*'
-// (The goldens are run-to-run equalities, not committed constants, so
-// "regeneration" is just confirming the suite is green again.)
+// (These goldens are run-to-run equalities, so "regeneration" is just
+// confirming the suite is green again; golden_replay_test.cc pins the
+// committed scenarios' digests as constants.)
 #include <gtest/gtest.h>
 
 #include <string>

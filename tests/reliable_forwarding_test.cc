@@ -175,15 +175,13 @@ TEST(SuspicionCache, SuspectSlowReturnsWhetherPeerWasNewlyQuarantined) {
 class ReliableEnv {
  public:
   ReliableEnv(std::size_t n, std::size_t branching, MulticastConfig mc = {},
-              sim::NetworkConfig net = {}, std::uint64_t seed = 1,
-              unsigned sim_threads = 1)
+              sim::NetworkConfig net = {}, std::uint64_t seed = 1)
       : dep_([&] {
           DeploymentConfig cfg;
           cfg.num_agents = n;
           cfg.branching = branching;
           cfg.net = net;
           cfg.seed = seed;
-          cfg.sim_threads = sim_threads;
           return cfg;
         }()) {
     for (std::size_t i = 0; i < dep_.size(); ++i) {
@@ -368,13 +366,13 @@ TEST(ReliableForwarding, DuplicateReliableHopsAreAckedAndSuppressed) {
   EXPECT_EQ(t.retransmits, 0u);
 }
 
-// ---- determinism across engine modes (DESIGN.md §9) --------------------
+// ---- replay determinism ------------------------------------------------
 //
 // BackoffPolicy and SuspicionCache feed retransmission timing and
-// representative choice; any seed- or schedule-dependence here would make
-// parallel replays diverge from sequential ones. The unit tests pin the
-// pure primitives; the integration test replays a lossy reliable run under
-// both engines and requires identical decisions end to end.
+// representative choice; any hidden seed- or host-dependence here would
+// make replays diverge. The unit tests pin the pure primitives; the
+// integration test replays a lossy reliable run twice and requires
+// identical decisions end to end.
 
 TEST(BackoffPolicy, JitterSequenceIdenticalForIdenticalSeeds) {
   ReliableConfig cfg;
@@ -417,16 +415,16 @@ TEST(SuspicionCache, TtlDecisionsDeterministicUnderSeededChurn) {
   EXPECT_NE(run(20260808), run(77)) << "churn ignores the seed";
 }
 
-TEST(ReliableForwarding, LossyRunBitIdenticalAcrossEngineModes) {
+TEST(ReliableForwarding, LossyRunReplaysBitIdentically) {
   // A retransmission-heavy run (30% loss, no redundancy) exercises the
   // full backoff/suspicion/failover machinery. Per-node delivery logs and
-  // the hop-level counters must be identical at every thread count.
-  auto run = [](unsigned threads) {
+  // the hop-level counters must be identical on replay.
+  auto run = [] {
     sim::NetworkConfig net;
     net.loss_prob = 0.3;
     MulticastConfig mc;
     mc.redundancy = 1;
-    ReliableEnv env(16, 4, mc, net, /*seed=*/20260808, threads);
+    ReliableEnv env(16, 4, mc, net, /*seed=*/20260808);
     for (int k = 0; k < 5; ++k) {
       env.svc(0).SendToZone(ZonePath::Root(),
                             env.MakeItem("a#" + std::to_string(k)));
@@ -440,13 +438,11 @@ TEST(ReliableForwarding, LossyRunBitIdenticalAcrossEngineModes) {
     return std::pair(logs, std::tuple(t.retransmits, t.failovers,
                                       t.acks_received, t.duplicates));
   };
-  const auto sequential = run(1);
-  EXPECT_GT(std::get<0>(sequential.second), 0u) << "run exercised no backoff";
-  for (unsigned threads : {2u, 4u}) {
-    const auto parallel = run(threads);
-    EXPECT_EQ(sequential.first, parallel.first) << "threads=" << threads;
-    EXPECT_EQ(sequential.second, parallel.second) << "threads=" << threads;
-  }
+  const auto first = run();
+  EXPECT_GT(std::get<0>(first.second), 0u) << "run exercised no backoff";
+  const auto second = run();
+  EXPECT_EQ(first.first, second.first);
+  EXPECT_EQ(first.second, second.second);
 }
 
 }  // namespace

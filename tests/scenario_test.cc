@@ -5,8 +5,7 @@
 // invariant suite from src/testing/invariants.h must hold.
 //
 // The scenario tables and deployment configs live in tests/scenarios.h,
-// shared with parallel_equivalence_test.cc which replays the same plans
-// under the parallel engine.
+// shared with golden_replay_test.cc which pins each plan's replay digests.
 #include <gtest/gtest.h>
 
 #include <string>

@@ -1,7 +1,8 @@
 // Committed fault-plan scenario tables, shared between scenario_test.cc
-// (invariants after recovery) and parallel_equivalence_test.cc (the same
-// scenarios replayed at several --sim-threads settings must produce
-// bit-identical traces, DESIGN.md §9).
+// (invariants after recovery) and golden_replay_test.cc (each scenario's
+// trace, MIB and delivery digests pinned as committed constants), plus the
+// randomized torture churn run replayed by determinism_regression_test.cc
+// and pinned by golden_replay_test.cc.
 //
 // Topology of the 32-node system (branching 4, most-significant digit
 // first): node 0 is the publisher, nodes 1..31 are subscribers; nodes
@@ -12,7 +13,15 @@
 // verbatim: paste its ToString() as a new table row.
 #pragma once
 
+#include <cstdint>
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "newswire/system.h"
+#include "obs/trace.h"
+#include "sim/fault_plan.h"
+#include "testing/invariants.h"
 
 namespace nw::testing {
 
@@ -23,6 +32,10 @@ struct Scenario {
   const char* plan;
   bool scoped_publish;  // alternate root-scoped and zone-scoped items
 };
+
+// gtest prints parameters through PrintTo; without it the test name ends in
+// a raw byte dump of the struct, which holds pointers and so varies per run.
+inline void PrintTo(const Scenario& s, std::ostream* os) { *os << s.name; }
 
 // Times are seconds relative to the start of the 30 s publishing phase.
 inline constexpr Scenario kScenarios[] = {
@@ -106,6 +119,10 @@ struct ReliableScenario {
   const char* plan;  // nullptr = fault-free baseline
 };
 
+inline void PrintTo(const ReliableScenario& s, std::ostream* os) {
+  *os << s.name;
+}
+
 inline constexpr ReliableScenario kReliableScenarios[] = {
     {"RepCrashMidDissemination",
      "failover: a likely representative of the publisher's own zone dies "
@@ -130,6 +147,65 @@ inline newswire::SystemConfig ReliableScenarioConfig() {
   cfg.gossip_period = 1.0;
   cfg.seed = 20260806;
   return cfg;
+}
+
+// ---- torture churn -----------------------------------------------------
+//
+// A randomized crash/restart plan (FaultPlan::Random) over the committed
+// 32-node deployment, reseeded, while a publisher streams 60 items.
+// Everything the run exposes is digested, so a replay can be compared to
+// another replay or to committed constants.
+
+inline constexpr std::uint64_t kTortureSeed = 0x20260808;
+
+struct ChurnDigest {
+  std::uint64_t delivered = 0;        // NewswireSystem::total_delivered
+  std::uint64_t delivery_hash = 0;    // DeliveryRecorder::TraceHash
+  std::uint64_t event_hash = 0;       // EventTracer::SequenceHash
+  std::uint64_t events_recorded = 0;  // EventTracer::total_recorded
+  std::uint64_t mib_hash = 0;         // MibContentHash after settle
+  std::string plan_text;
+};
+
+inline ChurnDigest RunTortureChurn(std::uint64_t seed) {
+  // Large enough to hold every record (about 330k), so the sequence hash
+  // covers the whole run rather than its tail.
+  obs::EventTracer tracer(1 << 19);
+  newswire::SystemConfig cfg = CommittedScenarioConfig();
+  cfg.seed = seed;
+  cfg.tracer = &tracer;
+  newswire::NewswireSystem sys(cfg);
+  DeliveryRecorder recorder(sys);
+  sys.RunFor(10);
+
+  std::vector<sim::NodeId> victims;
+  for (std::size_t i = 0; i < sys.subscriber_count(); ++i) {
+    victims.push_back(sys.subscriber_agent(i).id());
+  }
+  sim::FaultPlan::RandomOptions opt;
+  opt.horizon = 60;
+  opt.min_quiescence = 15;
+  opt.max_events = 24;
+  opt.max_dead = 6;
+  const sim::FaultPlan plan = sim::FaultPlan::Random(seed, victims, opt);
+
+  const double base = sys.Now();
+  plan.ApplyTo(sys.deployment().net(), base);
+  for (int step = 0; step < 60; ++step) {
+    sys.deployment().sim().At(base + step, [&sys, step] {
+      sys.PublishArticle(0, sys.catalog()[std::size_t(step) % 3]);
+    });
+  }
+  sys.RunFor(60 + 180);
+
+  ChurnDigest out;
+  out.delivered = sys.total_delivered();
+  out.delivery_hash = recorder.TraceHash();
+  out.event_hash = tracer.SequenceHash();
+  out.events_recorded = tracer.total_recorded();
+  out.mib_hash = MibContentHash(sys.deployment());
+  out.plan_text = plan.ToString();
+  return out;
 }
 
 }  // namespace nw::testing

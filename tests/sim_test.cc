@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event simulator and network model.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/network.h"
@@ -40,6 +41,55 @@ TEST(Simulator, RunUntilStopsAtBoundary) {
   EXPECT_DOUBLE_EQ(sim.Now(), 2.0);
   sim.RunUntil(10.0);
   EXPECT_EQ(fired, 2);
+}
+
+// ---- event key order (time, gen, seq, src) -----------------------------
+// The pinned golden digests encode this order; see simulator.h.
+
+TEST(SimulatorKeyOrder, SameTimeChildRunsAfterEveryGenZeroEventAtThatTime) {
+  Simulator sim;
+  std::vector<std::string> order;
+  sim.At(1.0, [&] {
+    order.push_back("a");
+    sim.At(1.0, [&] { order.push_back("a.child"); });  // gen 1
+  });
+  sim.At(1.0, [&] { order.push_back("b"); });
+  ASSERT_TRUE(sim.Step());  // runs "a", which schedules its child
+  // Scheduled after the child, from outside any event: generation 0.
+  sim.At(1.0, [&] { order.push_back("c"); });
+  sim.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "c", "a.child"}));
+}
+
+TEST(SimulatorKeyOrder, SameTimeNodeEventsOrderBySeqThenSrc) {
+  Simulator sim;
+  sim.EnsureContexts(3);
+  std::vector<std::string> order;
+  // Node 2's event runs first and schedules two events at t=1 (seq 0, 1 of
+  // context 2); node 1's runs second and schedules one (seq 0 of context
+  // 1). At t=1 the per-context seq decides first, then the source node.
+  sim.AtNode(2, 0.5, [&] {
+    sim.At(1.0, [&] { order.push_back("n2.0"); });
+    sim.At(1.0, [&] { order.push_back("n2.1"); });
+  });
+  sim.AtNode(1, 0.5, [&] { sim.At(1.0, [&] { order.push_back("n1.0"); }); });
+  sim.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<std::string>{"n1.0", "n2.0", "n2.1"}));
+}
+
+TEST(SimulatorKeyOrder, RunUntilFiresEventsAtExactlyTAndStepStillWorks) {
+  Simulator sim;
+  std::vector<int> fired;
+  sim.At(2.0, [&] { fired.push_back(2); });
+  sim.At(3.0, [&] { fired.push_back(3); });
+  sim.RunUntil(2.0);
+  EXPECT_EQ(fired, (std::vector<int>{2}));
+  EXPECT_DOUBLE_EQ(sim.Now(), 2.0);
+  EXPECT_EQ(sim.PendingEvents(), 1u);
+  ASSERT_TRUE(sim.Step());
+  EXPECT_EQ(fired, (std::vector<int>{2, 3}));
+  EXPECT_DOUBLE_EQ(sim.Now(), 3.0);
+  EXPECT_FALSE(sim.Step());
 }
 
 TEST(Simulator, EventsCanScheduleEvents) {

@@ -2,6 +2,8 @@
 // TEST_P, plus aggregation edge cases not covered by sql_test.cc.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "astrolabe/sql/eval.h"
 #include "astrolabe/sql/parser.h"
 
@@ -25,6 +27,12 @@ struct ExprCase {
   const char* expr;
   const char* expected;  // ToString of the result; "null" for null
 };
+
+// Names each case by its expression and expected value instead of gtest's
+// byte dump of the two pointers.
+void PrintTo(const ExprCase& c, std::ostream* os) {
+  *os << c.expr << " -> " << c.expected;
+}
 
 class ScalarTable : public ::testing::TestWithParam<ExprCase> {};
 

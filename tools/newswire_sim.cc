@@ -70,9 +70,6 @@ void PrintUsage() {
       "  --verify              publisher signature verification on\n"
       "  --bloom-bits N        subscription filter size (default 1024)\n"
       "  --seed N              replay seed (default 1)\n"
-      "  --sim-threads N       simulator worker shards (default: the\n"
-      "                        NEWSWIRE_SIM_THREADS env var, else 1); any\n"
-      "                        value replays bit-identically (DESIGN.md §9)\n"
       "  --trace FILE          dump a JSONL event trace after the run\n"
       "  --trace-capacity N    trace ring-buffer size (default 262144)\n"
       "  --trace-categories L  comma list (gossip,send,drop,...; default all)\n"
@@ -122,7 +119,6 @@ int main(int argc, char** argv) {
   cfg.verify_publishers = flags.GetBool("verify", false);
   cfg.bloom.bits = std::size_t(flags.GetInt("bloom-bits", 1024));
   cfg.seed = std::uint64_t(flags.GetInt("seed", 1));
-  cfg.sim_threads = unsigned(flags.GetInt("sim-threads", 0));
   const double duration = flags.GetDouble("duration", 60.0);
   const double items_per_sec = flags.GetDouble("items-per-sec", 1.0);
   const double kill_frac = flags.GetDouble("kill-frac", 0.0);

@@ -3,9 +3,6 @@
 #
 #   tools/run_tier1.sh              # RelWithDebInfo into build/
 #   ASAN=1 tools/run_tier1.sh       # ASan+UBSan into build-asan/
-#   TSAN=1 tools/run_tier1.sh       # ThreadSanitizer into build-tsan/ and
-#                                   # run the unit + parallel labels (the
-#                                   # suites that exercise worker threads)
 #   BENCH=1 tools/run_tier1.sh      # also run every bench and validate
 #                                   # its BENCH_<name>.json report
 #
@@ -14,16 +11,13 @@
 #   tools/run_tier1.sh -L gossip    # wire-format equivalence (runs every
 #                                   # scenario in both full and delta mode)
 #   tools/run_tier1.sh -L reliable  # hop-level ack/retransmit/failover suite
-#   tools/run_tier1.sh -L parallel  # parallel-engine golden-trace equivalence
+#   tools/run_tier1.sh -L scenario  # committed fault plans + pinned goldens
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="$(nproc 2>/dev/null || echo 4)"
 
-if [[ "${TSAN:-0}" == "1" || "${NEWSWIRE_SANITIZE:-}" == "thread" ]]; then
-  build="$repo/build-tsan"
-  extra=(-DNEWSWIRE_SANITIZE=thread)
-elif [[ "${ASAN:-0}" == "1" ]]; then
+if [[ "${ASAN:-0}" == "1" ]]; then
   build="$repo/build-asan"
   extra=(-DNEWSWIRE_SANITIZE=ON)
 else
@@ -34,31 +28,7 @@ fi
 cmake -S "$repo" -B "$build" -DCMAKE_BUILD_TYPE=RelWithDebInfo "${extra[@]}"
 cmake --build "$build" -j "$jobs"
 
-if [[ "${TSAN:-0}" == "1" || "${NEWSWIRE_SANITIZE:-}" == "thread" ]]; then
-  # Under TSan, run the suites that actually spin up worker threads: the
-  # unit label (engine primitives), the parallel label (full-system
-  # replays at several --sim-threads settings), and the chaos label (the
-  # gray-failure cocktails replay at --sim-threads 1/2/4 internally). The
-  # replays also run once more with the whole scenario machinery forced
-  # onto 4 shards so every cross-layer path executes on worker threads
-  # under the sanitizer. The aggregation label rides along in both passes:
-  # its A/B runs compare traces recorded through the staging tracer, which
-  # is exactly the machinery TSan needs to see under worker threads.
-  ctest --test-dir "$build" --output-on-failure -j "$jobs" \
-    -L 'unit|parallel|chaos|aggregation' "$@"
-  NEWSWIRE_SIM_THREADS=4 ctest --test-dir "$build" --output-on-failure \
-    -j "$jobs" -L 'scenario|chaos|aggregation' "$@"
-  exit 0
-fi
-
 ctest --test-dir "$build" --output-on-failure -j "$jobs" "$@"
-
-# The scenario, chaos, and aggregation suites must replay identically
-# under the parallel engine (DESIGN.md §9, §10, §11): rerun the committed
-# fault-plan labels with the simulator sharded 4 ways. The 1-thread run
-# already happened above (the env default).
-NEWSWIRE_SIM_THREADS=4 ctest --test-dir "$build" --output-on-failure \
-  -j "$jobs" -L 'scenario|chaos|aggregation'
 
 if [[ "${BENCH:-0}" == "1" ]]; then
   # Run every bench binary and check that each emits a machine-readable
@@ -92,13 +62,6 @@ if [[ "${BENCH:-0}" == "1" ]]; then
   # E15) and its report must be present by name.
   if [[ ! -f "$json_dir/BENCH_reliable_forwarding.json" ]]; then
     echo "BENCH=1: BENCH_reliable_forwarding.json missing" >&2
-    exit 1
-  fi
-  # And the parallel-engine scaling bench (EXPERIMENTS.md E16): its exit
-  # code asserts 1-thread/4-thread trace-hash equality (always) and the
-  # >=3x speedup gate (on hosts with >=4 hardware threads).
-  if [[ ! -f "$json_dir/BENCH_sim_scale.json" ]]; then
-    echo "BENCH=1: BENCH_sim_scale.json missing" >&2
     exit 1
   fi
   # And the gray-failure bench (EXPERIMENTS.md E17): its exit code asserts
