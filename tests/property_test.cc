@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <ostream>
 
 #include "astrolabe/deployment.h"
 #include "astrolabe/sql/eval.h"
@@ -31,12 +30,6 @@ struct GossipCase {
   double loss;
   double run_seconds;
 };
-
-// Each case prints its fields; gtest's fallback is a raw byte dump.
-void PrintTo(const GossipCase& c, std::ostream* os) {
-  *os << "n=" << c.n << " branching=" << c.branching << " loss=" << c.loss
-      << " run_seconds=" << c.run_seconds;
-}
 
 class GossipConvergenceProperty : public ::testing::TestWithParam<GossipCase> {};
 
@@ -90,12 +83,6 @@ struct MulticastCase {
   double loss;
   double min_delivery_rate;
 };
-
-void PrintTo(const MulticastCase& c, std::ostream* os) {
-  *os << "n=" << c.n << " branching=" << c.branching
-      << " redundancy=" << c.redundancy << " loss=" << c.loss
-      << " min_delivery_rate=" << c.min_delivery_rate;
-}
 
 class MulticastCompletenessProperty
     : public ::testing::TestWithParam<MulticastCase> {};
@@ -162,10 +149,6 @@ struct BloomCase {
   std::size_t hashes;
   std::size_t subs;
 };
-
-void PrintTo(const BloomCase& c, std::ostream* os) {
-  *os << "bits=" << c.bits << " hashes=" << c.hashes << " subs=" << c.subs;
-}
 
 class BloomProperty : public ::testing::TestWithParam<BloomCase> {};
 

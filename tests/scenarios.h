@@ -1,8 +1,9 @@
 // Committed fault-plan scenario tables, shared between scenario_test.cc
 // (invariants after recovery) and golden_replay_test.cc (each scenario's
-// trace, MIB and delivery digests pinned as committed constants), plus the
-// randomized torture churn run replayed by determinism_regression_test.cc
-// and pinned by golden_replay_test.cc.
+// trace, MIB and delivery digests pinned as committed constants and
+// reproduced by a second replay), plus the randomized torture churn run
+// replayed by determinism_regression_test.cc and pinned by
+// golden_replay_test.cc.
 //
 // Topology of the 32-node system (branching 4, most-significant digit
 // first): node 0 is the publisher, nodes 1..31 are subscribers; nodes
@@ -33,9 +34,9 @@ struct Scenario {
   bool scoped_publish;  // alternate root-scoped and zone-scoped items
 };
 
-// gtest prints parameters through PrintTo; without it the test name ends in
-// a raw byte dump of the struct, which holds pointers and so varies per run.
-inline void PrintTo(const Scenario& s, std::ostream* os) { *os << s.name; }
+// No PrintTo yet: tests that take a Scenario still end their names in
+// gtest's byte dump of the struct, whose pointers vary per build. Naming
+// it renames every one of those tests at once (ROADMAP item 12).
 
 // Times are seconds relative to the start of the 30 s publishing phase.
 inline constexpr Scenario kScenarios[] = {
