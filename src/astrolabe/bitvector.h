@@ -85,11 +85,15 @@ class BitVector {
 
   std::size_t WireBytes() const noexcept { return words_.size() * 8 + 4; }
 
+  // "bits[<size>;{<set positions, ascending>}]". Walks the set bits word by
+  // word, so a sparse vector costs its popcount, not its size.
   std::string ToString() const {
     std::string s = "bits[" + std::to_string(nbits_) + ";{";
     bool first = true;
-    for (std::size_t i = 0; i < nbits_; ++i) {
-      if (Test(i)) {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t i = w * 64 + std::size_t(std::countr_zero(bits));
+        if (i >= nbits_) break;
         if (!first) s += ',';
         s += std::to_string(i);
         first = false;

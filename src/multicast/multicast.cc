@@ -132,9 +132,9 @@ void MulticastService::ReportLoad() {
 }
 
 void MulticastService::SendToZone(const ZonePath& zone, Item item) {
-  item.target_zone = zone.ToString();
+  Envelope env{std::make_shared<const Item>(std::move(item)), zone.ToString()};
   if (zone.IsPrefixOf(agent_.path())) {
-    Disseminate(std::move(item));
+    Disseminate(env);
     return;
   }
   // Publishing into a zone we are not a member of (paper §8: "disseminate
@@ -148,7 +148,7 @@ void MulticastService::SendToZone(const ZonePath& zone, Item item) {
   if (!(zone.Prefix(level) == agent_.path().Prefix(level))) {
     ++stats_.misrouted;
     util::LogWarn("multicast %s: zone %s is not visible from here",
-                  agent_.path().ToString().c_str(), item.target_zone.c_str());
+                  agent_.path().ToString().c_str(), env.target_zone.c_str());
     return;
   }
   auto contacts = agent_.ContactsOf(level, zone.Leaf());
@@ -156,18 +156,18 @@ void MulticastService::SendToZone(const ZonePath& zone, Item item) {
     ++stats_.misrouted;
     return;
   }
-  std::vector<sim::NodeId> reps = ChooseReps(item.target_zone, contacts);
-  // Copy the key before the QueueEntry steals the item: evaluation order
-  // of the arguments is unspecified, and a moved-from target_zone would
-  // collapse every child into one ""-keyed queue.
-  const std::string queue_key = item.target_zone;
-  EnqueueForChild(queue_key, 1, QueueEntry{std::move(item), std::move(reps)});
+  std::vector<sim::NodeId> reps = ChooseReps(env.target_zone, contacts);
+  // Copy the key before the QueueEntry steals the envelope: evaluation
+  // order of the arguments is unspecified, and a moved-from target_zone
+  // would collapse every child into one ""-keyed queue.
+  const std::string queue_key = env.target_zone;
+  EnqueueForChild(queue_key, 1, QueueEntry{std::move(env), std::move(reps)});
   DrainQueues();
 }
 
 void MulticastService::HandleForward(const sim::Message& msg) {
   suspects_.Clear(msg.from);  // any inbound message proves the peer alive
-  Disseminate(msg.As<Item>());
+  Disseminate(msg.As<Envelope>());
 }
 
 void MulticastService::HandleReliableForward(const sim::Message& msg) {
@@ -178,14 +178,14 @@ void MulticastService::HandleReliableForward(const sim::Message& msg) {
   // fresh ack stops the sender.
   agent_.Send(sim::Message::Make(agent_.id(), msg.from, kAckType,
                                  HopAck{hop.hop_id}, kAckWireBytes));
-  if (seen_.contains(hop.item.id)) {
+  if (seen_.contains(hop.env.item->id)) {
     // A retransmission reaching us for an item we already processed means
     // our ack was lost or too slow — self-evidence of grayness, fed into
     // the health score by the next ReportLoad cycle.
     ++stats_.dup_hops_received;
     if (auto* m = Metrics()) m->Add(obs_.dup_hops, agent_.id());
   }
-  Disseminate(hop.item);
+  Disseminate(hop.env);
 }
 
 void MulticastService::HandleAck(const sim::Message& msg) {
@@ -209,8 +209,9 @@ bool MulticastService::SeenBefore(const std::string& id) {
   return false;
 }
 
-void MulticastService::Disseminate(Item item) {
-  const ZonePath zone = ZonePath::Parse(item.target_zone);
+void MulticastService::Disseminate(const Envelope& env) {
+  const Item& item = *env.item;
+  const ZonePath zone = ZonePath::Parse(env.target_zone);
   if (!zone.IsPrefixOf(agent_.path())) {
     // Stale contact information routed the item to a node outside the
     // target zone; drop (redundant paths cover the loss).
@@ -223,18 +224,18 @@ void MulticastService::Disseminate(Item item) {
     if (auto* t = Tracer();
         t != nullptr && t->Enabled(obs::EventCategory::kCache)) {
       t->Record(agent_.Now(), agent_.id(), obs::EventCategory::kCache,
-                "mc.dup", item.hops, 0, item.id);
+                "mc.dup", env.hops, 0, item.id);
     }
     return;
   }
   // Member of the target zone: deliver locally once.
   ++stats_.delivered;
   if (auto* m = Metrics()) m->Add(obs_.delivered, agent_.id());
-  if (deliver_) deliver_(item);
+  if (deliver_) deliver_(env);
 
   // Recursive expansion (§5): forward to representatives of every child
-  // zone, deepest first when the target is an ancestor of ours.
-  ++item.hops;
+  // zone, deepest first when the target is an ancestor of ours. Each relay
+  // is a new envelope around the same shared item.
   for (std::size_t level = zone.Depth(); level < agent_.Depth(); ++level) {
     const astrolabe::Table& table = agent_.TableAt(level);
     const ZonePath prefix = agent_.path().Prefix(level);
@@ -247,8 +248,8 @@ void MulticastService::Disseminate(Item item) {
       }
       auto contacts = agent_.ContactsOf(level, child_key);
       if (contacts.empty()) continue;
-      Item forwarded = item;
-      forwarded.target_zone = prefix.Child(child_key).ToString();
+      Envelope forwarded{env.item, prefix.Child(child_key).ToString(),
+                         env.hops + 1};
       std::vector<sim::NodeId> reps =
           ChooseReps(forwarded.target_zone, contacts);
       std::uint64_t weight = 1;
@@ -337,19 +338,19 @@ void MulticastService::EnqueueForChild(const std::string& child_key,
     // fairness: the newcomer is shed).
     auto worst = q.entries.begin();
     for (auto it = std::next(q.entries.begin()); it != q.entries.end(); ++it) {
-      if (UrgencyOf(it->item) > UrgencyOf(worst->item)) worst = it;
+      if (UrgencyOf(*it->env.item) > UrgencyOf(*worst->env.item)) worst = it;
     }
     obs::MetricsRegistry* m = Metrics();
     ++stats_.queue_drops;
     if (m != nullptr) m->Add(obs_.queue_drops, agent_.id());
-    if (UrgencyOf(entry.item) < UrgencyOf(worst->item)) {
+    if (UrgencyOf(*entry.env.item) < UrgencyOf(*worst->env.item)) {
       ++stats_.queue_shed;
       if (m != nullptr) m->Add(obs_.queue_shed, agent_.id());
       if (auto* t = Tracer();
           t != nullptr && t->Enabled(obs::EventCategory::kDrop)) {
         t->Record(agent_.Now(), agent_.id(), obs::EventCategory::kDrop,
-                  "mc.queue_shed", std::uint64_t(UrgencyOf(worst->item)),
-                  q.entries.size(), worst->item.id);
+                  "mc.queue_shed", std::uint64_t(UrgencyOf(*worst->env.item)),
+                  q.entries.size(), worst->env.item->id);
       }
       *worst = std::move(entry);
       // Preserve arrival order among survivors: the replacement slot keeps
@@ -360,8 +361,8 @@ void MulticastService::EnqueueForChild(const std::string& child_key,
     if (auto* t = Tracer();
         t != nullptr && t->Enabled(obs::EventCategory::kDrop)) {
       t->Record(agent_.Now(), agent_.id(), obs::EventCategory::kDrop,
-                "mc.queue_drop", std::uint64_t(UrgencyOf(entry.item)),
-                q.entries.size(), entry.item.id);
+                "mc.queue_drop", std::uint64_t(UrgencyOf(*entry.env.item)),
+                q.entries.size(), entry.env.item->id);
     }
     return;
   }
@@ -369,7 +370,7 @@ void MulticastService::EnqueueForChild(const std::string& child_key,
 }
 
 bool MulticastService::SendEntry(QueueEntry& entry, double now) {
-  const std::size_t wire = entry.item.WireBytes();
+  const std::size_t wire = entry.env.WireBytes();
   const double cost = static_cast<double>(
       wire * std::max<std::size_t>(1, entry.destinations.size()));
   if (!budget_.TryConsume(now, cost)) return false;
@@ -382,7 +383,7 @@ bool MulticastService::SendEntry(QueueEntry& entry, double now) {
         pending_.size() < config_.reliable.max_pending) {
       const std::uint64_t hop_id = next_hop_id_++;
       PendingHop& hop = pending_[hop_id];
-      hop.item = entry.item;
+      hop.env = entry.env;
       hop.dest = rep;
       hop.attempt = 1;
       hop.first_sent = now;
@@ -390,16 +391,17 @@ bool MulticastService::SendEntry(QueueEntry& entry, double now) {
     } else {
       if (config_.reliable.enabled) ++stats_.pending_overflow;
       agent_.Send(sim::Message::Make(agent_.id(), rep, kForwardType,
-                                     entry.item, wire));
+                                     entry.env, wire));
     }
   }
   return true;
 }
 
 void MulticastService::TransmitHop(std::uint64_t hop_id, PendingHop& hop) {
-  const std::size_t wire = hop.item.WireBytes() + 8;  // + hop id
+  ReliableHop payload{hop.env, hop_id};
+  const std::size_t wire = payload.WireBytes();
   agent_.Send(sim::Message::Make(agent_.id(), hop.dest, kReliableType,
-                                 ReliableHop{hop.item, hop_id}, wire));
+                                 std::move(payload), wire));
   const double delay = backoff_.DelayFor(hop.attempt, agent_.Rng());
   agent_.Schedule(delay, [this, hop_id, expected = hop.attempt] {
     OnAckTimeout(hop_id, expected);
@@ -411,7 +413,7 @@ std::vector<sim::NodeId> MulticastService::LiveContactsFor(
   // target_zone encodes the child zone exactly as Disseminate built it:
   // level = depth-1, row key = leaf. Looking it up afresh on every retry
   // means failover follows re-election instead of a stale snapshot.
-  const ZonePath zone = ZonePath::Parse(hop.item.target_zone);
+  const ZonePath zone = ZonePath::Parse(hop.env.target_zone);
   if (zone.IsRoot() || zone.Depth() > agent_.Depth()) return {};
   return agent_.ContactsOf(zone.Depth() - 1, zone.Leaf());
 }
@@ -431,7 +433,7 @@ void MulticastService::OnAckTimeout(std::uint64_t hop_id,
     if (m != nullptr) m->Add(obs_.abandoned, agent_.id());
     if (t != nullptr && t->Enabled(obs::EventCategory::kReliable)) {
       t->Record(now, agent_.id(), obs::EventCategory::kReliable, "mc.abandon",
-                hop.dest, std::uint64_t(hop.attempt), hop.item.id);
+                hop.dest, std::uint64_t(hop.attempt), hop.env.item->id);
     }
     // Give-up is dead-level evidence: the peer failed every retransmission
     // and failover attempt for the whole give-up window.
@@ -492,11 +494,11 @@ void MulticastService::OnAckTimeout(std::uint64_t hop_id,
       if (m != nullptr) m->Add(obs_.failovers, agent_.id());
       if (t != nullptr && t->Enabled(obs::EventCategory::kReliable)) {
         t->Record(now, agent_.id(), obs::EventCategory::kReliable,
-                  "mc.failover", hop.dest, next, hop.item.id);
+                  "mc.failover", hop.dest, next, hop.env.item->id);
       }
       // The affinity "open connection" moves with the failover so later
       // items skip the dead peer immediately.
-      affinity_[hop.item.target_zone] = next;
+      affinity_[hop.env.target_zone] = next;
       hop.dest = next;
       hop.attempt = 1;
     } else {
@@ -510,12 +512,12 @@ void MulticastService::OnAckTimeout(std::uint64_t hop_id,
   if (m != nullptr) m->Add(obs_.retransmits, agent_.id());
   if (t != nullptr && t->Enabled(obs::EventCategory::kReliable)) {
     t->Record(now, agent_.id(), obs::EventCategory::kReliable, "mc.retx",
-              hop.dest, std::uint64_t(hop.attempt), hop.item.id);
+              hop.dest, std::uint64_t(hop.attempt), hop.env.item->id);
   }
   // Retransmissions bypass the token bucket: they are few (bounded by the
   // backoff schedule), and starving recovery behind fresh traffic would
   // invert the reliability priority. Bytes are still accounted.
-  stats_.forward_bytes += hop.item.WireBytes();
+  stats_.forward_bytes += hop.env.WireBytes();
   TransmitHop(hop_id, hop);
 }
 
@@ -561,7 +563,7 @@ void MulticastService::DrainQueues() {
         std::int64_t best_urgency = 0;
         for (auto& [key, q] : queues_) {
           for (auto it = q.entries.begin(); it != q.entries.end(); ++it) {
-            const std::int64_t u = UrgencyOf(it->item);
+            const std::int64_t u = UrgencyOf(*it->env.item);
             if (best_q == nullptr || u < best_urgency) {
               best_q = &q;
               best_it = it;

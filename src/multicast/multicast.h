@@ -25,6 +25,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -83,19 +84,31 @@ struct MulticastConfig {
   ReliableConfig reliable;
 };
 
-// The unit of dissemination. Metadata rides along for filtering; the body
-// is modeled by its size only (content does not affect the protocols).
+// The unit of dissemination, as the publisher built it. SendToZone wraps
+// it in one shared immutable object, so every queue entry, pending hop,
+// wire payload and delivery of a publication refers to that object.
+// Metadata rides along for filtering; the body is modeled by its size only
+// (content does not affect the protocols).
 struct Item {
   std::string id;           // globally unique (publisher-assigned, §9)
-  std::string target_zone;  // zone the item is being disseminated within
   astrolabe::Row metadata;
   std::size_t body_bytes = 0;
   double published_at = 0;
-  int hops = 0;
+
+  // The item's share of a relay's wire size; Envelope adds the routing.
+  std::size_t WireBytes() const {
+    return id.size() + 16 + astrolabe::RowWireBytes(metadata) + body_bytes;
+  }
+};
+
+// One relay of an item: the shared item plus the fields each hop rewrites.
+struct Envelope {
+  std::shared_ptr<const Item> item;
+  std::string target_zone;  // zone the item is being disseminated within
+  int hops = 0;             // network relays from the publisher so far
 
   std::size_t WireBytes() const {
-    return id.size() + target_zone.size() + 16 +
-           astrolabe::RowWireBytes(metadata) + body_bytes;
+    return item->WireBytes() + target_zone.size();
   }
 };
 
@@ -125,7 +138,9 @@ struct MulticastStats {
 // registers a message handler on the agent; one service per agent.
 class MulticastService {
  public:
-  using DeliveryCallback = std::function<void(const Item&)>;
+  // Receives the envelope the item arrived in; every delivery of one
+  // publication shares `env.item`.
+  using DeliveryCallback = std::function<void(const Envelope&)>;
   // Decides whether `item` should be forwarded into the child zone
   // described by `child_row` (aggregated attributes). Leaf rows are agent
   // MIB rows, so the same filter performs leaf-level selection.
@@ -138,7 +153,8 @@ class MulticastService {
   void SetForwardFilter(ForwardFilter filter) { filter_ = std::move(filter); }
 
   // Local entry point: disseminates `item` to all (filter-passing) leaves
-  // under `zone`. The caller must be a member of `zone`.
+  // under `zone`. The caller must be a member of `zone`. The item is frozen
+  // here: every hop shares it, and it never changes afterwards.
   void SendToZone(const astrolabe::ZonePath& zone, Item item);
 
   const MulticastStats& stats() const { return stats_; }
@@ -164,11 +180,11 @@ class MulticastService {
   // Modeled ack size: hop id + header-level framing.
   static constexpr std::size_t kAckWireBytes = 16;
 
-  // Reliable relay payload: the item plus the hop id the ack echoes.
+  // Reliable relay payload: the envelope plus the hop id the ack echoes.
   struct ReliableHop {
-    Item item;
+    Envelope env;
     std::uint64_t hop_id = 0;
-    std::size_t WireBytes() const { return item.WireBytes() + 8; }
+    std::size_t WireBytes() const { return env.WireBytes() + 8; }
   };
   struct HopAck {
     std::uint64_t hop_id = 0;
@@ -176,7 +192,7 @@ class MulticastService {
 
  private:
   struct QueueEntry {
-    Item item;
+    Envelope env;
     std::vector<sim::NodeId> destinations;
   };
   struct ChildQueue {
@@ -185,10 +201,10 @@ class MulticastService {
     std::uint64_t credit = 0;  // WRR state
   };
   // One unacked reliable relay. The child zone is recovered from
-  // item.target_zone at every retry so the contacts lookup always sees the
+  // env.target_zone at every retry so the contacts lookup always sees the
   // live table (failover tracks re-election, not a snapshot).
   struct PendingHop {
-    Item item;
+    Envelope env;
     sim::NodeId dest = sim::kInvalidNode;
     int attempt = 1;        // sends to `dest` so far
     double first_sent = 0;  // give-up clock
@@ -207,7 +223,7 @@ class MulticastService {
   void HandleForward(const sim::Message& msg);
   void HandleReliableForward(const sim::Message& msg);
   void HandleAck(const sim::Message& msg);
-  void Disseminate(Item item);
+  void Disseminate(const Envelope& env);
   bool SeenBefore(const std::string& id);
   void EnqueueForChild(const std::string& child_key, std::uint64_t weight,
                        QueueEntry entry);

@@ -37,7 +37,8 @@ PubSubService::PubSubService(astrolabe::Agent& agent,
   mc_.SetForwardFilter([](const Item& item, const Row& child_row) {
     return ChildAdmits(item, child_row);
   });
-  mc_.SetDeliveryCallback([this](const Item& item) { OnDeliver(item); });
+  mc_.SetDeliveryCallback(
+      [this](const multicast::Envelope& env) { OnDeliver(*env.item); });
 }
 
 void PubSubService::Subscribe(const std::string& subject) {

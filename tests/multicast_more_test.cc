@@ -28,7 +28,7 @@ struct Env {
     for (std::size_t i = 0; i < dep.size(); ++i) {
       svc.push_back(std::make_unique<MulticastService>(dep.agent(i), mc));
       svc.back()->SetDeliveryCallback(
-          [this, i](const Item&) { ++deliveries[i]; });
+          [this, i](const Envelope&) { ++deliveries[i]; });
     }
     dep.WarmStart();
   }
@@ -155,7 +155,7 @@ TEST(Shedding, FlashItemIsNeverShedInFavorOfRoutine) {
   std::vector<std::set<std::string>> got(env.dep.size());
   for (std::size_t i = 0; i < env.dep.size(); ++i) {
     env.svc[i]->SetDeliveryCallback(
-        [&got, i](const Item& item) { got[i].insert(item.id); });
+        [&got, i](const Envelope& hop) { got[i].insert(hop.item->id); });
   }
   // Back up every per-child queue with routine traffic (NITF urgency 8)...
   for (int k = 0; k < 12; ++k) {

@@ -31,7 +31,9 @@ class MulticastEnv {
       services_.push_back(
           std::make_unique<MulticastService>(dep_.agent(i), mc));
       services_.back()->SetDeliveryCallback(
-          [this, i](const Item& item) { deliveries_[i].push_back(item.id); });
+          [this, i](const Envelope& hop) {
+            deliveries_[i].push_back(hop.item->id);
+          });
       deliveries_.emplace_back();
     }
     dep_.WarmStart();
@@ -200,7 +202,7 @@ TEST(Multicast, HopCountsGrowWithDepth) {
   std::vector<int> hops(64, -1);
   for (std::size_t i = 0; i < 64; ++i) {
     env.svc(i).SetDeliveryCallback(
-        [&hops, i](const Item& it) { hops[i] = it.hops; });
+        [&hops, i](const Envelope& hop) { hops[i] = hop.hops; });
   }
   env.svc(0).SendToZone(ZonePath::Root(), item);
   env.dep().RunFor(30);
@@ -211,6 +213,61 @@ TEST(Multicast, HopCountsGrowWithDepth) {
   }
   EXPECT_GE(max_hops, 2);  // at least two forwarding stages in a 3-level tree
   EXPECT_LE(max_hops, 4);
+}
+
+TEST(Multicast, EveryHopSharesOnePublishedItem) {
+  MulticastEnv env(64, 4);  // depth 3
+  std::vector<const Item*> got(64, nullptr);
+  for (std::size_t i = 0; i < 64; ++i) {
+    env.svc(i).SetDeliveryCallback(
+        [&got, i](const Envelope& hop) { got[i] = hop.item.get(); });
+  }
+  env.svc(0).SendToZone(ZonePath::Root(), env.MakeItem("a#1"));
+  env.dep().RunFor(30);
+  ASSERT_NE(got[0], nullptr);
+  for (std::size_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(got[i], got[0]) << "leaf " << i << " got its own copy";
+  }
+}
+
+TEST(Multicast, CallerChangesAfterSendDoNotReachReceivers) {
+  MulticastEnv env(16, 4);
+  std::vector<std::shared_ptr<const Item>> got;
+  for (std::size_t i = 0; i < 16; ++i) {
+    env.svc(i).SetDeliveryCallback(
+        [&got](const Envelope& hop) { got.push_back(hop.item); });
+  }
+  Item item = env.MakeItem("a#1", 300);
+  item.metadata["urgency"] = std::int64_t{1};
+  env.svc(0).SendToZone(ZonePath::Root(), item);
+  item.id = "changed";
+  item.body_bytes = 1;
+  item.metadata["urgency"] = std::int64_t{8};
+  env.dep().RunFor(30);
+  ASSERT_EQ(got.size(), 16u);
+  for (const auto& delivered : got) {
+    EXPECT_EQ(delivered->id, "a#1");
+    EXPECT_EQ(delivered->body_bytes, 300u);
+    EXPECT_EQ(delivered->metadata.at("urgency").AsInt(), 1);
+  }
+}
+
+// A reliable relay is charged the item (id + 16 + metadata row + body),
+// the child zone's name and the 8-byte hop id, plus the network's header.
+TEST(Multicast, ReliableHopWireBytesFollowTheItemFormula) {
+  MulticastEnv env(4, 4);  // one level: leaves /n0 ... /n3
+  Item item = env.MakeItem("a#1", 500);
+  item.metadata["urgency"] = std::int64_t{1};
+  env.svc(0).SendToZone(ZonePath::Root(), item);
+  env.dep().RunFor(30);
+  ASSERT_EQ(env.svc(0).stats().retransmits, 0u);
+  const auto& rfwd =
+      env.dep().net().StatsByType().at(MulticastService::kReliableType);
+  ASSERT_EQ(rfwd.messages, 3u);
+  // id 3 + zone "/nK" 3 + 16 + row (8 + "urgency" 7 + 2 + int 8 = 25)
+  // + body 500 = 547 per relay; + 8 hop id + 64 header on the wire.
+  EXPECT_EQ(env.svc(0).stats().forward_bytes, 3u * 547u);
+  EXPECT_EQ(rfwd.bytes, 3u * (547u + 8u + 64u));
 }
 
 }  // namespace

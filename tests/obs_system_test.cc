@@ -14,8 +14,8 @@
 // differently by design and each mode carries its own golden. After a
 // deliberate protocol change, regenerate expectations by re-running this
 // binary and reading the printed hashes:
-//   cmake --build build --target obs_system_test && \
-//     ./build/tests/obs_system_test --gtest_filter='ObsGoldenTrace.*'
+//   cmake --build build --target obs_system_test
+//   ./build/tests/obs_system_test --gtest_filter='ObsGoldenTrace.*'
 // (These goldens are run-to-run equalities, so "regeneration" is just
 // confirming the suite is green again; golden_replay_test.cc pins the
 // committed scenarios' digests as constants.)

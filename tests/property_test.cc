@@ -103,7 +103,7 @@ TEST_P(MulticastCompletenessProperty, DeliversToLeavesOnce) {
     svc.push_back(
         std::make_unique<multicast::MulticastService>(dep.agent(i), mc));
     svc.back()->SetDeliveryCallback(
-        [&delivered, i](const multicast::Item&) { ++delivered[i]; });
+        [&delivered, i](const multicast::Envelope&) { ++delivered[i]; });
   }
   dep.WarmStart();
   constexpr int kItems = 5;
@@ -121,7 +121,9 @@ TEST_P(MulticastCompletenessProperty, DeliversToLeavesOnce) {
   }
   const double rate = double(total) / double(param.n * kItems);
   EXPECT_GE(rate, param.min_delivery_rate);
-  if (param.loss == 0) EXPECT_DOUBLE_EQ(rate, 1.0);
+  if (param.loss == 0) {
+    EXPECT_DOUBLE_EQ(rate, 1.0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -188,7 +188,9 @@ class ReliableEnv {
       services_.push_back(
           std::make_unique<MulticastService>(dep_.agent(i), mc));
       services_.back()->SetDeliveryCallback(
-          [this, i](const Item& item) { deliveries_[i].push_back(item.id); });
+          [this, i](const Envelope& hop) {
+            deliveries_[i].push_back(hop.item->id);
+          });
       deliveries_.emplace_back();
     }
     deliveries_.resize(dep_.size());

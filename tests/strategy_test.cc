@@ -31,8 +31,8 @@ struct StrategyEnv {
         }()) {
     for (std::size_t i = 0; i < dep.size(); ++i) {
       svc.push_back(std::make_unique<MulticastService>(dep.agent(i), mc));
-      svc.back()->SetDeliveryCallback([this, i](const Item& item) {
-        arrivals.push_back(Arrival{i, item.id, dep.sim().Now()});
+      svc.back()->SetDeliveryCallback([this, i](const Envelope& hop) {
+        arrivals.push_back(Arrival{i, hop.item->id, dep.sim().Now()});
       });
     }
     dep.WarmStart();

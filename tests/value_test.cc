@@ -67,6 +67,22 @@ TEST(BitVector, AndIntersects) {
   EXPECT_TRUE(i.Test(2));
 }
 
+TEST(BitVector, ToStringListsSetBitsInOrder) {
+  EXPECT_EQ(BitVector().ToString(), "bits[0;{}]");
+  BitVector bv(130);
+  EXPECT_EQ(bv.ToString(), "bits[130;{}]");
+  bv.Set(0);
+  EXPECT_EQ(bv.ToString(), "bits[130;{0}]");
+  BitVector last(130);
+  last.Set(129);
+  EXPECT_EQ(last.ToString(), "bits[130;{129}]");
+  for (std::size_t i : {63u, 64u, 127u, 128u, 129u}) bv.Set(i);
+  EXPECT_EQ(bv.ToString(), "bits[130;{0,63,64,127,128,129}]");
+  BitVector dense(5);
+  for (std::size_t i = 0; i < 5; ++i) dense.Set(i);
+  EXPECT_EQ(dense.ToString(), "bits[5;{0,1,2,3,4}]");
+}
+
 TEST(AttrValue, TypeAccessors) {
   EXPECT_TRUE(AttrValue().IsNull());
   EXPECT_EQ(AttrValue(std::int64_t{7}).AsInt(), 7);

@@ -6,10 +6,10 @@
 // scenario on the command line, run it deterministically, read the
 // delivery report.
 //
-// Examples:
-//   newswire_sim --subscribers 5000 --branching 16 --duration 120 \
+// Examples (an indented line continues the command above it):
+//   newswire_sim --subscribers 5000 --branching 16 --duration 120
 //                --items-per-sec 2
-//   newswire_sim --subscribers 300 --loss 0.1 --redundancy 2 \
+//   newswire_sim --subscribers 300 --loss 0.1 --redundancy 2
 //                --kill-frac 0.2 --kill-at 30 --repair-interval 5
 //   newswire_sim --subscribers 200 --hierarchical --catalog 50
 #include <algorithm>

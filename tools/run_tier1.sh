@@ -4,7 +4,8 @@
 #   tools/run_tier1.sh              # RelWithDebInfo into build/
 #   ASAN=1 tools/run_tier1.sh       # ASan+UBSan into build-asan/
 #   BENCH=1 tools/run_tier1.sh      # also run every bench and validate
-#                                   # its BENCH_<name>.json report
+#                                   # its BENCH_<name>.json report, and
+#                                   # build and self-test perfbench/
 #
 # Extra arguments are forwarded to ctest, e.g.:
 #   tools/run_tier1.sh -L unit      # fast pre-commit loop
@@ -31,6 +32,10 @@ cmake --build "$build" -j "$jobs"
 ctest --test-dir "$build" --output-on-failure -j "$jobs" "$@"
 
 if [[ "${BENCH:-0}" == "1" ]]; then
+  # The repository benchmark builds src/ on its own (perfbench/run.py), so
+  # nothing above compiles it: build it and run every workload at toy size.
+  # It goes first so that a red E-bench gate below cannot skip it.
+  python3 "$repo/perfbench/selftest.py"
   # Run every bench binary and check that each emits a machine-readable
   # BENCH_<name>.json report that a strict parser accepts.
   json_dir="$build/bench-json"
