@@ -34,9 +34,10 @@ struct Scenario {
   bool scoped_publish;  // alternate root-scoped and zone-scoped items
 };
 
-// No PrintTo yet: tests that take a Scenario still end their names in
-// gtest's byte dump of the struct, whose pointers vary per build. Naming
-// it renames every one of those tests at once (ROADMAP item 12).
+// No PrintTo yet: ParallelScenarioEquivalence still takes a Scenario, so
+// its names end in gtest's byte dump of the struct, whose pointers vary per
+// load of the binary (ROADMAP item 12). The dump starts past the first 100
+// characters of those names.
 
 // Times are seconds relative to the start of the 30 s publishing phase.
 inline constexpr Scenario kScenarios[] = {
