@@ -1,7 +1,10 @@
 // E12 — Micro-costs of the building blocks (paper §3/§5): aggregation
 // evaluation, gossip-table merging, certificate operations, Bloom
-// operations, zone-path handling, and the per-hop multicast decision.
+// operations, zone-path handling, the per-hop multicast decision, and the
+// simulator's schedule, cancel and run cost per event.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "astrolabe/cert.h"
 #include "astrolabe/sql/eval.h"
@@ -12,6 +15,7 @@
 #include "astrolabe/agent.h"
 #include "bench_report.h"
 #include "pubsub/bloom_filter.h"
+#include "sim/simulator.h"
 #include "util/rng.h"
 
 using namespace nw;
@@ -161,6 +165,44 @@ void BM_PredicateEval(benchmark::State& state) {
 }
 BENCHMARK(BM_PredicateEval);
 
+// N timers at random times, run until idle: the per-event cost of the
+// simulator core (schedule, heap, dispatch).
+void BM_SimulatorScheduleRun(benchmark::State& state) {
+  const auto n = std::size_t(state.range(0));
+  for (auto _ : state) {
+    sim::Simulator sim;
+    util::DeterministicRng rng(5);
+    std::uint64_t fired = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      sim.At(rng.NextDouble(), [&fired] { ++fired; });
+    }
+    sim.RunUntilIdle();
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SimulatorScheduleRun)->Arg(1 << 10)->Arg(1 << 16);
+
+// The same with every other timer cancelled before it fires, as an acked
+// hop cancels its retransmit timer.
+void BM_SimulatorScheduleCancel(benchmark::State& state) {
+  const auto n = std::size_t(state.range(0));
+  std::vector<sim::EventId> ids(n);
+  for (auto _ : state) {
+    sim::Simulator sim;
+    util::DeterministicRng rng(5);
+    std::uint64_t fired = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      ids[i] = sim.At(rng.NextDouble(), [&fired] { ++fired; });
+    }
+    for (std::size_t i = 1; i < n; i += 2) sim.Cancel(ids[i]);
+    sim.RunUntilIdle();
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SimulatorScheduleCancel)->Arg(1 << 10)->Arg(1 << 16);
+
 // Console output plus a machine-readable record of every timed run.
 class RecordingReporter : public benchmark::ConsoleReporter {
  public:
@@ -186,8 +228,8 @@ int main(int argc, char** argv) {
   bench::BenchReport report(
       "micro",
       "Micro-costs of the building blocks: aggregation evaluation, table "
-      "merge, certificate operations, Bloom and zone-path handling "
-      "(paper §3/§5)");
+      "merge, certificate operations, Bloom and zone-path handling, and "
+      "the simulator's schedule/cancel/run cost per event (paper §3/§5)");
   RecordingReporter reporter(report);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();

@@ -11,9 +11,9 @@ namespace nw::astrolabe {
 
 namespace {
 
-constexpr const char* kGossipType = "astro.gossip";
-constexpr const char* kGossipReplyType = "astro.gossip_reply";
-constexpr const char* kGossipFinalType = "astro.gossip_final";
+const sim::MsgType kGossipType{"astro.gossip"};
+const sim::MsgType kGossipReplyType{"astro.gossip_reply"};
+const sim::MsgType kGossipFinalType{"astro.gossip_final"};
 
 bool RowsEqual(const Row& a, const Row& b) {
   if (a.size() != b.size()) return false;
@@ -166,6 +166,15 @@ Agent::Agent(AgentConfig config)
     tables_.push_back(std::make_shared<Table>());
   }
   agg_memo_.resize(Depth());
+  // Every protocol's types are interned during static initialization, so
+  // this sizes the table once.
+  handlers_.resize(sim::MsgType::Count());
+  RegisterHandler(kGossipType,
+                  [this](const sim::Message& msg) { HandleGossipInit(msg); });
+  RegisterHandler(kGossipReplyType,
+                  [this](const sim::Message& msg) { HandleGossipReply(msg); });
+  RegisterHandler(kGossipFinalType,
+                  [this](const sim::Message& msg) { HandleGossipFinal(msg); });
 }
 
 Agent::~Agent() = default;
@@ -307,20 +316,29 @@ Row Agent::AggregateOf(const Table& table) const {
 std::vector<sim::NodeId> Agent::ContactsOf(std::size_t level,
                                            const std::string& child_key) const {
   std::vector<sim::NodeId> out;
-  if (level >= Depth()) return out;
+  ContactsInto(level, child_key, out);
+  return out;
+}
+
+void Agent::ContactsInto(std::size_t level, const std::string& child_key,
+                         std::vector<sim::NodeId>& out) const {
+  out.clear();
+  if (level >= Depth()) return;
   const RowEntry* entry = tables_[level]->Find(child_key);
-  if (entry == nullptr) return out;
-  auto it = entry->attrs.find(kAttrContacts);
-  if (it == entry->attrs.end() ||
-      it->second.type() != AttrValue::Type::kList) {
-    return out;
+  if (entry != nullptr) ContactsFromRow(entry->attrs, out);
+}
+
+void Agent::ContactsFromRow(const Row& attrs, std::vector<sim::NodeId>& out) {
+  out.clear();
+  auto it = attrs.find(kAttrContacts);
+  if (it == attrs.end() || it->second.type() != AttrValue::Type::kList) {
+    return;
   }
   for (const AttrValue& v : it->second.AsList()) {
     if (v.type() == AttrValue::Type::kInt) {
       out.push_back(static_cast<sim::NodeId>(v.AsInt()));
     }
   }
-  return out;
 }
 
 bool Agent::RepresentsAt(std::size_t level) const {
@@ -330,8 +348,9 @@ bool Agent::RepresentsAt(std::size_t level) const {
   return std::find(contacts.begin(), contacts.end(), id()) != contacts.end();
 }
 
-void Agent::RegisterHandler(const std::string& type, Handler handler) {
-  handlers_[type] = std::move(handler);
+void Agent::RegisterHandler(sim::MsgType type, Handler handler) {
+  if (type.id() >= handlers_.size()) handlers_.resize(type.id() + 1);
+  handlers_[type.id()] = std::move(handler);
 }
 
 void Agent::WarmStartTable(std::size_t level, std::shared_ptr<Table> table) {
@@ -352,25 +371,12 @@ void Agent::OnMessage(const sim::Message& msg) {
     if (auto* t = Tracer();
         t != nullptr && t->Enabled(obs::EventCategory::kIntegrity)) {
       t->Record(Now(), id(), obs::EventCategory::kIntegrity, "integrity.drop",
-                msg.from, msg.wire_bytes, msg.type);
+                msg.from, msg.wire_bytes, msg.type.name());
     }
     return;
   }
-  if (msg.type == kGossipType) {
-    HandleGossipInit(msg);
-    return;
-  }
-  if (msg.type == kGossipReplyType) {
-    HandleGossipReply(msg);
-    return;
-  }
-  if (msg.type == kGossipFinalType) {
-    HandleGossipFinal(msg);
-    return;
-  }
-  auto it = handlers_.find(msg.type);
-  if (it != handlers_.end()) {
-    it->second(msg);
+  if (msg.type.id() < handlers_.size() && handlers_[msg.type.id()]) {
+    handlers_[msg.type.id()](msg);
   } else {
     util::LogWarn("agent %s: dropping message of unknown type '%s'",
                   path().ToString().c_str(), msg.type.c_str());
@@ -720,7 +726,7 @@ void Agent::NoteCertInventory(sim::NodeId peer,
   peer_known_certs_[peer] = std::set<std::uint64_t>(ids.begin(), ids.end());
 }
 
-void Agent::SendGossip(sim::NodeId to, const char* type,
+void Agent::SendGossip(sim::NodeId to, sim::MsgType type,
                        GossipPayload payload) {
   const std::size_t digest_bytes = payload.DigestBytes();
   const std::size_t delta_bytes = payload.DeltaBytes();

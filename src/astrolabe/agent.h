@@ -137,6 +137,12 @@ class Agent : public sim::Node {
   // from its "contacts" attribute. Empty if unknown.
   std::vector<sim::NodeId> ContactsOf(std::size_t level,
                                       const std::string& child_key) const;
+  // ContactsOf into a caller-owned buffer (cleared first).
+  void ContactsInto(std::size_t level, const std::string& child_key,
+                    std::vector<sim::NodeId>& out) const;
+  // The representatives listed in a row's "contacts" attribute, into `out`
+  // (cleared first).
+  static void ContactsFromRow(const Row& attrs, std::vector<sim::NodeId>& out);
 
   // True if this agent currently represents its child zone in the
   // level-`level` table (always true at the deepest level).
@@ -144,9 +150,10 @@ class Agent : public sim::Node {
 
   // ---- Application messaging ---------------------------------------------
   // Upper layers (multicast, pub/sub, news) register handlers for their
-  // message types; all non-gossip messages are dispatched through these.
+  // message types; every message, gossip included, is dispatched through
+  // a table indexed by the type's id.
   using Handler = std::function<void(const sim::Message&)>;
-  void RegisterHandler(const std::string& type, Handler handler);
+  void RegisterHandler(sim::MsgType type, Handler handler);
 
   // Invoked after a simulated process restart, so layers composed onto the
   // agent (caches, repair timers) can reset their volatile state and
@@ -156,6 +163,7 @@ class Agent : public sim::Node {
   }
   using sim::Node::Send;  // expose for the layers composed onto this agent
   using sim::Node::Schedule;
+  using sim::Node::CancelTimer;
   using sim::Node::Now;
   using sim::Node::Rng;
   // Exposed so composed layers can reach the network's optional
@@ -305,7 +313,7 @@ class Agent : public sim::Node {
                          const std::vector<std::uint64_t>& ids);
   // Sends one gossip message and attributes its bytes/rows to the stats and
   // the astrolabe.gossip.* metrics.
-  void SendGossip(sim::NodeId to, const char* type, GossipPayload payload);
+  void SendGossip(sim::NodeId to, sim::MsgType type, GossipPayload payload);
   std::uint64_t NextVersion();
 
   // Copy-on-write access to a table replica.
@@ -338,7 +346,7 @@ class Agent : public sim::Node {
   AggStats agg_stats_;
   std::map<std::string, InstalledFunction> functions_;
   std::vector<Certificate> zone_authorities_;
-  std::map<std::string, Handler> handlers_;
+  std::vector<Handler> handlers_;  // indexed by sim::MsgType id
   std::vector<std::function<void()>> restart_hooks_;
   std::vector<sim::NodeId> seeds_;
   // Cert ids (Certificate::Digest()) each peer is believed to hold, rebuilt

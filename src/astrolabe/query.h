@@ -49,8 +49,8 @@ class QueryService {
   };
   const Stats& stats() const { return stats_; }
 
-  static constexpr const char* kRequestType = "astro.query";
-  static constexpr const char* kResponseType = "astro.query_resp";
+  static inline const sim::MsgType kRequestType{"astro.query"};
+  static inline const sim::MsgType kResponseType{"astro.query_resp"};
 
  private:
   struct Request {

@@ -46,8 +46,8 @@ class PullServer : public sim::Node {
   const std::vector<Article>& articles() const { return articles_; }
 
   // Wire protocol types (shared with PullClient).
-  static constexpr const char* kRequestType = "pull.req";
-  static constexpr const char* kResponseType = "pull.resp";
+  static inline const sim::MsgType kRequestType{"pull.req"};
+  static inline const sim::MsgType kResponseType{"pull.resp"};
 
   struct Request {
     PullMode mode = PullMode::kFullPage;
@@ -112,7 +112,7 @@ class DirectPushServer : public sim::Node {
 
   void OnMessage(const sim::Message& /*msg*/) override {}
 
-  static constexpr const char* kPushType = "push.item";
+  static inline const sim::MsgType kPushType{"push.item"};
 
  private:
   std::vector<sim::NodeId> subscribers_;

@@ -14,11 +14,17 @@ using astrolabe::ZonePath;
 MulticastService::MulticastService(Agent& agent, MulticastConfig config)
     : agent_(agent),
       config_(config),
+      path_text_(agent_.path().ToString()),
       budget_(config.forward_bytes_per_sec, config.forward_burst_bytes),
       backoff_(config.reliable),
       suspects_(config.reliable.suspicion_ttl,
                 config.reliable.slow_suspicion_ttl,
                 config.reliable.escalate_strikes) {
+  prefix_len_.push_back(0);
+  for (std::size_t i = 0; i < agent_.Depth(); ++i) {
+    prefix_len_.push_back(prefix_len_.back() + 1 +
+                          agent_.path().Component(i).size());
+  }
   agent_.RegisterHandler(kForwardType, [this](const sim::Message& msg) {
     HandleForward(msg);
   });
@@ -45,13 +51,13 @@ void MulticastService::OnRestart() {
   // duplicate log, and no suspicions. Its timers died with the old
   // incarnation, so the load reporter must be re-armed.
   queues_.clear();
+  for (const auto& [hop_id, hop] : pending_) agent_.CancelTimer(hop.ack_timer);
   pending_.clear();
   suspects_ = SuspicionCache(config_.reliable.suspicion_ttl,
                              config_.reliable.slow_suspicion_ttl,
                              config_.reliable.escalate_strikes);
   seen_.clear();
   seen_order_.clear();
-  affinity_.clear();
   drain_scheduled_ = false;
   last_reported_bytes_ = stats_.forward_bytes;
   load_ewma_ = 0.0;
@@ -151,17 +157,14 @@ void MulticastService::SendToZone(const ZonePath& zone, Item item) {
                   agent_.path().ToString().c_str(), env.target_zone.c_str());
     return;
   }
-  auto contacts = agent_.ContactsOf(level, zone.Leaf());
-  if (contacts.empty()) {
+  agent_.ContactsInto(level, zone.Leaf(), contacts_buf_);
+  if (contacts_buf_.empty()) {
     ++stats_.misrouted;
     return;
   }
-  std::vector<sim::NodeId> reps = ChooseReps(env.target_zone, contacts);
-  // Copy the key before the QueueEntry steals the envelope: evaluation
-  // order of the arguments is unspecified, and a moved-from target_zone
-  // would collapse every child into one ""-keyed queue.
-  const std::string queue_key = env.target_zone;
-  EnqueueForChild(queue_key, 1, QueueEntry{std::move(env), std::move(reps)});
+  ChildQueue& q = queues_[env.target_zone];
+  ChooseReps(q, contacts_buf_, reps_buf_);
+  EnqueueForChild(q, 1, QueueEntry{std::move(env), reps_buf_});
   DrainQueues();
 }
 
@@ -195,6 +198,7 @@ void MulticastService::HandleAck(const sim::Message& msg) {
   if (it == pending_.end()) return;  // late ack after failover/abandon
   ++stats_.acks_received;
   if (auto* m = Metrics()) m->Add(obs_.acks, agent_.id());
+  agent_.CancelTimer(it->second.ack_timer);
   pending_.erase(it);
 }
 
@@ -209,10 +213,20 @@ bool MulticastService::SeenBefore(const std::string& id) {
   return false;
 }
 
+std::size_t MulticastService::MemberDepth(std::string_view zone) const {
+  if (zone == "/") return 0;
+  const std::string_view path = path_text_;
+  if (!path.starts_with(zone) ||
+      (path.size() > zone.size() && path[zone.size()] != '/')) {
+    return kNotMember;
+  }
+  return static_cast<std::size_t>(std::count(zone.begin(), zone.end(), '/'));
+}
+
 void MulticastService::Disseminate(const Envelope& env) {
   const Item& item = *env.item;
-  const ZonePath zone = ZonePath::Parse(env.target_zone);
-  if (!zone.IsPrefixOf(agent_.path())) {
+  const std::size_t zone_depth = MemberDepth(env.target_zone);
+  if (zone_depth == kNotMember) {
     // Stale contact information routed the item to a node outside the
     // target zone; drop (redundant paths cover the loss).
     ++stats_.misrouted;
@@ -236,9 +250,8 @@ void MulticastService::Disseminate(const Envelope& env) {
   // Recursive expansion (§5): forward to representatives of every child
   // zone, deepest first when the target is an ancestor of ours. Each relay
   // is a new envelope around the same shared item.
-  for (std::size_t level = zone.Depth(); level < agent_.Depth(); ++level) {
+  for (std::size_t level = zone_depth; level < agent_.Depth(); ++level) {
     const astrolabe::Table& table = agent_.TableAt(level);
-    const ZonePath prefix = agent_.path().Prefix(level);
     const std::string& own_child = agent_.path().Component(level);
     for (const auto& [child_key, entry] : table) {
       if (child_key == own_child) continue;  // we handle our own subtree
@@ -246,12 +259,16 @@ void MulticastService::Disseminate(const Envelope& env) {
         ++stats_.filtered;
         continue;
       }
-      auto contacts = agent_.ContactsOf(level, child_key);
-      if (contacts.empty()) continue;
-      Envelope forwarded{env.item, prefix.Child(child_key).ToString(),
-                         env.hops + 1};
-      std::vector<sim::NodeId> reps =
-          ChooseReps(forwarded.target_zone, contacts);
+      Agent::ContactsFromRow(entry.attrs, contacts_buf_);
+      if (contacts_buf_.empty()) continue;
+      // The child's zone name: our prefix of this depth plus its key.
+      Envelope forwarded{env.item, std::string(), env.hops + 1};
+      forwarded.target_zone.reserve(prefix_len_[level] + 1 + child_key.size());
+      forwarded.target_zone.append(path_text_, 0, prefix_len_[level]);
+      forwarded.target_zone += '/';
+      forwarded.target_zone += child_key;
+      ChildQueue& q = queues_[forwarded.target_zone];
+      ChooseReps(q, contacts_buf_, reps_buf_);
       std::uint64_t weight = 1;
       if (auto it = entry.attrs.find(astrolabe::kAttrMembers);
           it != entry.attrs.end() &&
@@ -259,9 +276,7 @@ void MulticastService::Disseminate(const Envelope& env) {
         weight = static_cast<std::uint64_t>(
             std::max<std::int64_t>(1, it->second.AsInt()));
       }
-      const std::string queue_key = forwarded.target_zone;  // see SendToZone
-      EnqueueForChild(queue_key, weight,
-                      QueueEntry{std::move(forwarded), std::move(reps)});
+      EnqueueForChild(q, weight, QueueEntry{std::move(forwarded), reps_buf_});
     }
     // Within our own subtree we recurse in place: the loop continues one
     // level deeper, so no self-addressed network message is needed.
@@ -269,41 +284,45 @@ void MulticastService::Disseminate(const Envelope& env) {
   DrainQueues();
 }
 
-std::vector<sim::NodeId> MulticastService::ChooseReps(
-    const std::string& child_key, const std::vector<sim::NodeId>& contacts) {
+void MulticastService::ChooseReps(ChildQueue& q,
+                                  const std::vector<sim::NodeId>& contacts,
+                                  std::vector<sim::NodeId>& reps) {
   // Steer fresh sends away from suspected peers (negative cache). Tiered:
   // unsuspected first; if none, retry suspected-slow (gray) peers — they
   // answer eventually and their quarantine backs off on repeat failures —
   // and only when every contact is suspected dead fall back to the full
-  // list rather than stalling the relay.
+  // list rather than stalling the relay. With nobody suspected the first
+  // tier is the contacts themselves, so no copy is made.
   const double now = agent_.Now();
-  std::vector<sim::NodeId> candidates;
-  candidates.reserve(contacts.size());
-  for (sim::NodeId c : contacts) {
-    if (suspects_.LevelOf(c, now) == SuspicionLevel::kNone) {
-      candidates.push_back(c);
-    }
-  }
-  if (candidates.empty()) {
+  const std::vector<sim::NodeId>* pool = &contacts;
+  if (!suspects_.empty()) {
+    std::vector<sim::NodeId>& tiered = candidates_buf_;
+    tiered.clear();
     for (sim::NodeId c : contacts) {
-      if (suspects_.LevelOf(c, now) == SuspicionLevel::kSlow) {
-        candidates.push_back(c);
+      if (suspects_.LevelOf(c, now) == SuspicionLevel::kNone) {
+        tiered.push_back(c);
       }
     }
+    if (tiered.empty()) {
+      for (sim::NodeId c : contacts) {
+        if (suspects_.LevelOf(c, now) == SuspicionLevel::kSlow) {
+          tiered.push_back(c);
+        }
+      }
+    }
+    if (!tiered.empty()) pool = &tiered;
   }
-  if (candidates.empty()) candidates = contacts;
+  const std::vector<sim::NodeId>& candidates = *pool;
 
-  std::vector<sim::NodeId> reps;
+  reps.clear();
   const std::size_t want =
       std::min<std::size_t>(static_cast<std::size_t>(config_.redundancy),
                             candidates.size());
   // Prefer the representative we already talk to ("where there currently
   // are open connections", §5), then fill randomly.
-  if (auto it = affinity_.find(child_key); it != affinity_.end()) {
-    if (std::find(candidates.begin(), candidates.end(), it->second) !=
-        candidates.end()) {
-      reps.push_back(it->second);
-    }
+  if (std::find(candidates.begin(), candidates.end(), q.affinity) !=
+      candidates.end()) {
+    reps.push_back(q.affinity);
   }
   std::size_t guard = 0;
   while (reps.size() < want && guard++ < candidates.size() * 4 + 8) {
@@ -313,8 +332,7 @@ std::vector<sim::NodeId> MulticastService::ChooseReps(
       reps.push_back(pick);
     }
   }
-  if (!reps.empty()) affinity_[child_key] = reps.front();
-  return reps;
+  if (!reps.empty()) q.affinity = reps.front();
 }
 
 std::int64_t MulticastService::UrgencyOf(const Item& item) const {
@@ -326,10 +344,8 @@ std::int64_t MulticastService::UrgencyOf(const Item& item) const {
   return it->second.AsInt();
 }
 
-void MulticastService::EnqueueForChild(const std::string& child_key,
-                                       std::uint64_t weight,
+void MulticastService::EnqueueForChild(ChildQueue& q, std::uint64_t weight,
                                        QueueEntry entry) {
-  ChildQueue& q = queues_[child_key];
   q.weight = weight;
   if (q.entries.size() >= config_.max_queue_items) {
     // Graceful degradation: shed the lowest-urgency entry in the queue,
@@ -403,27 +419,30 @@ void MulticastService::TransmitHop(std::uint64_t hop_id, PendingHop& hop) {
   agent_.Send(sim::Message::Make(agent_.id(), hop.dest, kReliableType,
                                  std::move(payload), wire));
   const double delay = backoff_.DelayFor(hop.attempt, agent_.Rng());
-  agent_.Schedule(delay, [this, hop_id, expected = hop.attempt] {
-    OnAckTimeout(hop_id, expected);
-  });
+  hop.ack_timer =
+      agent_.Schedule(delay, [this, hop_id] { OnAckTimeout(hop_id); });
 }
 
-std::vector<sim::NodeId> MulticastService::LiveContactsFor(
-    const PendingHop& hop) const {
+void MulticastService::LiveContactsFor(const PendingHop& hop,
+                                       std::vector<sim::NodeId>& out) const {
   // target_zone encodes the child zone exactly as Disseminate built it:
   // level = depth-1, row key = leaf. Looking it up afresh on every retry
   // means failover follows re-election instead of a stale snapshot.
-  const ZonePath zone = ZonePath::Parse(hop.env.target_zone);
-  if (zone.IsRoot() || zone.Depth() > agent_.Depth()) return {};
-  return agent_.ContactsOf(zone.Depth() - 1, zone.Leaf());
+  const std::string_view zone = hop.env.target_zone;
+  const auto depth =
+      static_cast<std::size_t>(std::count(zone.begin(), zone.end(), '/'));
+  out.clear();
+  if (zone == "/" || depth > agent_.Depth()) return;
+  agent_.ContactsInto(depth - 1,
+                      std::string(zone.substr(zone.rfind('/') + 1)), out);
 }
 
-void MulticastService::OnAckTimeout(std::uint64_t hop_id,
-                                    int expected_attempt) {
+void MulticastService::OnAckTimeout(std::uint64_t hop_id) {
+  // Only a hop's one armed timer runs: an ack cancels it (HandleAck), and
+  // so does a restart.
   auto it = pending_.find(hop_id);
-  if (it == pending_.end()) return;              // acked: timer canceled
+  if (it == pending_.end()) return;
   PendingHop& hop = it->second;
-  if (hop.attempt != expected_attempt) return;   // superseded by a resend
   const double now = agent_.Now();
   obs::MetricsRegistry* m = Metrics();
   obs::EventTracer* t = Tracer();
@@ -445,7 +464,8 @@ void MulticastService::OnAckTimeout(std::uint64_t hop_id,
     return;
   }
 
-  const std::vector<sim::NodeId> contacts = LiveContactsFor(hop);
+  std::vector<sim::NodeId>& contacts = contacts_buf_;
+  LiveContactsFor(hop, contacts);
   const bool dest_is_current =
       contacts.empty() ||  // row expired/unknown: keep trying the last rep
       std::find(contacts.begin(), contacts.end(), hop.dest) != contacts.end();
@@ -498,7 +518,7 @@ void MulticastService::OnAckTimeout(std::uint64_t hop_id,
       }
       // The affinity "open connection" moves with the failover so later
       // items skip the dead peer immediately.
-      affinity_[hop.env.target_zone] = next;
+      queues_[hop.env.target_zone].affinity = next;
       hop.dest = next;
       hop.attempt = 1;
     } else {

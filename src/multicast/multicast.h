@@ -28,6 +28,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "astrolabe/agent.h"
@@ -174,9 +175,9 @@ class MulticastService {
   double health() const { return health_ewma_; }
 
   // Message types used on the wire; exposed for traffic accounting.
-  static constexpr const char* kForwardType = "mc.fwd";    // fire-and-forget
-  static constexpr const char* kReliableType = "mc.rfwd";  // hop id, acked
-  static constexpr const char* kAckType = "mc.ack";
+  static inline const sim::MsgType kForwardType{"mc.fwd"};  // unacked
+  static inline const sim::MsgType kReliableType{"mc.rfwd"};  // hop id, acked
+  static inline const sim::MsgType kAckType{"mc.ack"};
   // Modeled ack size: hop id + header-level framing.
   static constexpr std::size_t kAckWireBytes = 16;
 
@@ -195,10 +196,13 @@ class MulticastService {
     Envelope env;
     std::vector<sim::NodeId> destinations;
   };
+  // Per child zone (keyed by its zone name): the forwarding queue and the
+  // representative we last relayed to.
   struct ChildQueue {
     std::deque<QueueEntry> entries;
     std::uint64_t weight = 1;  // nmembers of the child zone
     std::uint64_t credit = 0;  // WRR state
+    sim::NodeId affinity = sim::kInvalidNode;  // "open connection" (§5)
   };
   // One unacked reliable relay. The child zone is recovered from
   // env.target_zone at every retry so the contacts lookup always sees the
@@ -209,6 +213,7 @@ class MulticastService {
     int attempt = 1;        // sends to `dest` so far
     double first_sent = 0;  // give-up clock
     std::vector<sim::NodeId> tried;  // peers already failed over from
+    sim::EventId ack_timer;  // the one armed retransmit timer
   };
 
   // Observability (null-safe; ids registered lazily on first use).
@@ -224,25 +229,38 @@ class MulticastService {
   void HandleReliableForward(const sim::Message& msg);
   void HandleAck(const sim::Message& msg);
   void Disseminate(const Envelope& env);
+  // Depth of `zone` (a ZonePath's text) when it is this agent's zone or an
+  // ancestor of it; kNotMember otherwise.
+  static constexpr std::size_t kNotMember = ~std::size_t{0};
+  std::size_t MemberDepth(std::string_view zone) const;
   bool SeenBefore(const std::string& id);
-  void EnqueueForChild(const std::string& child_key, std::uint64_t weight,
-                       QueueEntry entry);
+  void EnqueueForChild(ChildQueue& q, std::uint64_t weight, QueueEntry entry);
   void DrainQueues();
   bool SendEntry(QueueEntry& entry, double now);
   // Transmits one reliable hop (first send or retransmission) and arms its
   // ack timer.
   void TransmitHop(std::uint64_t hop_id, PendingHop& hop);
-  void OnAckTimeout(std::uint64_t hop_id, int expected_attempt);
-  // Representatives of the child zone `hop` targets, from the live tables.
-  std::vector<sim::NodeId> LiveContactsFor(const PendingHop& hop) const;
+  void OnAckTimeout(std::uint64_t hop_id);
+  // Representatives of the child zone `hop` targets, from the live tables,
+  // into `out`.
+  void LiveContactsFor(const PendingHop& hop,
+                       std::vector<sim::NodeId>& out) const;
   std::int64_t UrgencyOf(const Item& item) const;
   void ReportLoad();
   void OnRestart();
-  std::vector<sim::NodeId> ChooseReps(const std::string& child_key,
-                                      const std::vector<sim::NodeId>& contacts);
+  // Picks up to `redundancy` of `contacts` for the child zone of `q` into
+  // `reps` (cleared first).
+  void ChooseReps(ChildQueue& q, const std::vector<sim::NodeId>& contacts,
+                  std::vector<sim::NodeId>& reps);
 
   astrolabe::Agent& agent_;
   MulticastConfig config_;
+  // The agent's path as text, and the length of its prefix of each depth
+  // ("" for the root), so routing compares and builds zone names as text.
+  std::string path_text_;
+  std::vector<std::size_t> prefix_len_;
+  // Scratch buffers reused by every hop (never held across a callback).
+  std::vector<sim::NodeId> contacts_buf_, candidates_buf_, reps_buf_;
   DeliveryCallback deliver_;
   ForwardFilter filter_;
   util::TokenBucket budget_;
@@ -258,7 +276,6 @@ class MulticastService {
   // protocol decisions or trace output).
   std::set<std::string> seen_;
   std::deque<std::string> seen_order_;
-  std::map<std::string, sim::NodeId> affinity_;  // "open connection" per child
   std::uint64_t last_reported_bytes_ = 0;
   double load_ewma_ = 0.0;
   // Health reporting state (DESIGN.md §10). The reported score is

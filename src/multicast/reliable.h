@@ -103,6 +103,8 @@ class SuspicionCache {
   // their strikes — a peer that behaves through a full prune cycle has
   // earned its clean slate).
   std::size_t LiveCount(double now);
+  // No entries at all, expired or not: nobody can be suspected.
+  bool empty() const noexcept { return entries_.empty(); }
   double ttl() const noexcept { return ttl_; }
   double slow_ttl() const noexcept { return slow_ttl_; }
   int StrikesOf(sim::NodeId peer) const;

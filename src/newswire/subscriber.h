@@ -82,10 +82,10 @@ class Subscriber {
   const Stats& stats() const { return stats_; }
 
   // Wire protocol types.
-  static constexpr const char* kDigestType = "nw.digest";
-  static constexpr const char* kRepairType = "nw.repair";
-  static constexpr const char* kXferReqType = "nw.xfer_req";
-  static constexpr const char* kXferType = "nw.xfer";
+  static inline const sim::MsgType kDigestType{"nw.digest"};
+  static inline const sim::MsgType kRepairType{"nw.repair"};
+  static inline const sim::MsgType kXferReqType{"nw.xfer_req"};
+  static inline const sim::MsgType kXferType{"nw.xfer"};
 
   struct Digest {
     double since = 0;

@@ -8,7 +8,11 @@
 namespace nw::sim {
 
 Network::Network(Simulator& sim, NetworkConfig config)
-    : sim_(sim), config_(config) {}
+    : sim_(sim), config_(config) {
+  sim_.SetTimerGuard(this);
+}
+
+Network::~Network() { sim_.SetTimerGuard(nullptr); }
 
 NodeId Network::AddNode(Node* node) {
   assert(node != nullptr);
@@ -61,7 +65,8 @@ void Network::Send(Message msg) {
   const std::size_t wire = msg.wire_bytes + config_.per_message_overhead;
   stats_[from].messages_sent += 1;
   stats_[from].bytes_sent += wire;
-  TypeStats& ts = by_type_[msg.type];
+  if (msg.type.id() >= by_type_.size()) by_type_.resize(msg.type.id() + 1);
+  TypeStats& ts = by_type_[msg.type.id()];
   ts.messages += 1;
   ts.bytes += wire;
   if (metrics_ != nullptr) {
@@ -70,7 +75,7 @@ void Network::Send(Message msg) {
   }
   if (tracer_ != nullptr && tracer_->Enabled(obs::EventCategory::kSend)) {
     tracer_->Record(sim_.Now(), from, obs::EventCategory::kSend, "net.send",
-                    to, wire, msg.type);
+                    to, wire, msg.type.name());
   }
 
   if (!alive_[from]) {
@@ -78,7 +83,7 @@ void Network::Send(Message msg) {
     if (metrics_ != nullptr) metrics_->Add(ids_.drops_dead, from);
     if (tracer_ != nullptr) {
       tracer_->Record(sim_.Now(), from, obs::EventCategory::kDrop,
-                      "net.drop.sender_dead", to, wire, msg.type);
+                      "net.drop.sender_dead", to, wire, msg.type.name());
     }
     return;
   }
@@ -130,63 +135,80 @@ void Network::Send(Message msg) {
 
 void Network::DeliverAt(Message msg, Time arrival, std::size_t wire, bool lost,
                         bool corrupt, std::uint32_t flip_bit) {
-  const NodeId from = msg.from;
   const NodeId to = msg.to;
-  const std::uint32_t to_inc = incarnation_[to];
-
+  std::uint32_t index;
+  if (free_in_flight_.empty()) {
+    index = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    index = free_in_flight_.back();
+    free_in_flight_.pop_back();
+  }
+  in_flight_[index] = {std::move(msg), wire, incarnation_[to], flip_bit, lost,
+                       corrupt};
   // The delivery runs in the receiver's context, so whatever it schedules
   // is keyed and owned as the receiver's own event.
-  sim_.AtNode(to, arrival, [this, msg = std::move(msg), wire, lost, to, from,
-                            to_inc, corrupt, flip_bit]() mutable {
-    const bool dead = !alive_[to];
-    const bool stale = !dead && incarnation_[to] != to_inc;
-    const bool partitioned =
-        !lost && !dead && !stale && partition_[from] != partition_[to];
-    const bool asym = !lost && !dead && !stale && !partitioned &&
-                      AsymBlocked(from, to);
-    if (lost || dead || stale || partitioned || asym) {
-      stats_[to].messages_dropped += 1;
-      if (metrics_ != nullptr) {
-        metrics_->Add(lost    ? ids_.drops_loss
-                      : dead  ? ids_.drops_dead
-                      : stale ? ids_.drops_stale
-                      : partitioned ? ids_.drops_partition
-                              : ids_.drops_asym,
-                      to);
-      }
-      if (tracer_ != nullptr && tracer_->Enabled(obs::EventCategory::kDrop)) {
-        tracer_->Record(sim_.Now(), to, obs::EventCategory::kDrop,
-                        lost    ? "net.drop.loss"
-                        : dead  ? "net.drop.dead_endpoint"
-                        : stale ? "net.drop.stale_incarnation"
-                        : partitioned ? "net.drop.partition"
-                                : "net.drop.asym",
-                        from, wire, msg.type);
-      }
-      return;
-    }
-    if (corrupt) {
-      msg.checksum ^= 1ull << flip_bit;
-      stats_[to].messages_corrupted += 1;
-      if (metrics_ != nullptr) metrics_->Add(ids_.corruptions, to);
-      if (tracer_ != nullptr &&
-          tracer_->Enabled(obs::EventCategory::kIntegrity)) {
-        tracer_->Record(sim_.Now(), to, obs::EventCategory::kIntegrity,
-                        "net.corrupt", from, flip_bit, msg.type);
-      }
-    }
-    stats_[to].messages_received += 1;
-    stats_[to].bytes_received += wire;
+  sim_.AtNode(to, arrival, [this, index] { Deliver(index); });
+}
+
+void Network::Deliver(std::uint32_t index) {
+  // Moved out first: OnMessage may send, which can grow the slab.
+  InFlight f = std::move(in_flight_[index]);
+  free_in_flight_.push_back(index);
+  Message& msg = f.msg;
+  const NodeId from = msg.from;
+  const NodeId to = msg.to;
+  const std::size_t wire = f.wire;
+  const bool lost = f.lost;
+  const std::uint32_t flip_bit = f.flip_bit;
+  const bool dead = !alive_[to];
+  const bool stale = !dead && incarnation_[to] != f.to_inc;
+  const bool partitioned =
+      !lost && !dead && !stale && partition_[from] != partition_[to];
+  const bool asym = !lost && !dead && !stale && !partitioned &&
+                    AsymBlocked(from, to);
+  if (lost || dead || stale || partitioned || asym) {
+    stats_[to].messages_dropped += 1;
     if (metrics_ != nullptr) {
-      metrics_->Add(ids_.delivered, to);
-      metrics_->Add(ids_.bytes_received, to, wire);
+      metrics_->Add(lost    ? ids_.drops_loss
+                    : dead  ? ids_.drops_dead
+                    : stale ? ids_.drops_stale
+                    : partitioned ? ids_.drops_partition
+                            : ids_.drops_asym,
+                    to);
     }
-    if (tracer_ != nullptr && tracer_->Enabled(obs::EventCategory::kDeliver)) {
-      tracer_->Record(sim_.Now(), to, obs::EventCategory::kDeliver,
-                      "net.deliver", from, wire, msg.type);
+    if (tracer_ != nullptr && tracer_->Enabled(obs::EventCategory::kDrop)) {
+      tracer_->Record(sim_.Now(), to, obs::EventCategory::kDrop,
+                      lost    ? "net.drop.loss"
+                      : dead  ? "net.drop.dead_endpoint"
+                      : stale ? "net.drop.stale_incarnation"
+                      : partitioned ? "net.drop.partition"
+                              : "net.drop.asym",
+                      from, wire, msg.type.name());
     }
-    nodes_[to]->OnMessage(msg);
-  });
+    return;
+  }
+  if (f.corrupt) {
+    msg.checksum ^= 1ull << flip_bit;
+    stats_[to].messages_corrupted += 1;
+    if (metrics_ != nullptr) metrics_->Add(ids_.corruptions, to);
+    if (tracer_ != nullptr &&
+        tracer_->Enabled(obs::EventCategory::kIntegrity)) {
+      tracer_->Record(sim_.Now(), to, obs::EventCategory::kIntegrity,
+                      "net.corrupt", from, flip_bit, msg.type.name());
+    }
+  }
+  stats_[to].messages_received += 1;
+  stats_[to].bytes_received += wire;
+  if (metrics_ != nullptr) {
+    metrics_->Add(ids_.delivered, to);
+    metrics_->Add(ids_.bytes_received, to, wire);
+  }
+  if (tracer_ != nullptr && tracer_->Enabled(obs::EventCategory::kDeliver)) {
+    tracer_->Record(sim_.Now(), to, obs::EventCategory::kDeliver,
+                    "net.deliver", from, wire, msg.type.name());
+  }
+  nodes_[to]->OnMessage(msg);
 }
 
 int Network::AddAsymCut(NodeId from, NodeId to) {
@@ -259,13 +281,25 @@ void Network::ResetStats() {
   by_type_.clear();
 }
 
+const std::map<std::string, Network::TypeStats>& Network::StatsByType()
+    const {
+  by_type_name_.clear();
+  for (std::uint32_t id = 0; id < by_type_.size(); ++id) {
+    if (by_type_[id].messages == 0) continue;
+    by_type_name_.emplace(MsgType::FromId(id).name(), by_type_[id]);
+  }
+  return by_type_name_;
+}
+
 Network::TypeStats Network::StatsForTypePrefix(const std::string& prefix) const {
   TypeStats total;
-  for (const auto& [type, ts] : by_type_) {
-    if (type.compare(0, prefix.size(), prefix) == 0) {
-      total.messages += ts.messages;
-      total.bytes += ts.bytes;
+  for (std::uint32_t id = 0; id < by_type_.size(); ++id) {
+    if (by_type_[id].messages == 0 ||
+        !MsgType::FromId(id).name().starts_with(prefix)) {
+      continue;
     }
+    total.messages += by_type_[id].messages;
+    total.bytes += by_type_[id].bytes;
   }
   return total;
 }

@@ -39,9 +39,10 @@ struct TrafficStats {
   std::uint64_t messages_duplicated = 0;  // extra copies injected by dup fault
 };
 
-class Network {
+class Network : private TimerGuard {
  public:
   Network(Simulator& sim, NetworkConfig config);
+  ~Network();
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -120,9 +121,9 @@ class Network {
     std::uint64_t messages = 0;
     std::uint64_t bytes = 0;
   };
-  const std::map<std::string, TypeStats>& StatsByType() const {
-    return by_type_;
-  }
+  // Every type sent since the last ResetStats, by name: a snapshot that
+  // stays valid until the next call.
+  const std::map<std::string, TypeStats>& StatsByType() const;
   // Sum over every type whose name starts with `prefix`.
   TypeStats StatsForTypePrefix(const std::string& prefix) const;
 
@@ -160,7 +161,21 @@ class Network {
   // AddNode so stochastic outcomes depend only on that sender's own
   // (deterministic) send sequence, never on cross-node interleaving.
   std::vector<util::DeterministicRng> link_rng_;
-  std::map<std::string, TypeStats> by_type_;
+  std::vector<TypeStats> by_type_;  // indexed by MsgType id
+  mutable std::map<std::string, TypeStats> by_type_name_;  // StatsByType
+
+  // Messages between Send and their delivery event, which names its entry
+  // by index so the scheduled callback stays small.
+  struct InFlight {
+    Message msg;
+    std::size_t wire = 0;
+    std::uint32_t to_inc = 0;  // receiver incarnation at send time
+    std::uint32_t flip_bit = 0;
+    bool lost = false;
+    bool corrupt = false;
+  };
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_in_flight_;
 
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::EventTracer* tracer_ = nullptr;
@@ -179,6 +194,13 @@ class Network {
   // context (Send may call it twice under the dup-reorder fault).
   void DeliverAt(Message msg, Time arrival, std::size_t wire, bool lost,
                  bool corrupt, std::uint32_t flip_bit);
+  // The delivery event of in-flight entry `index`.
+  void Deliver(std::uint32_t index);
+
+  // TimerGuard: a node timer runs only in the incarnation that set it.
+  bool TimerLive(std::uint32_t node, std::uint32_t inc) const override {
+    return alive_[node] && incarnation_[node] == inc;
+  }
 };
 
 // Base class for simulated hosts. Subclasses implement OnMessage and use
@@ -206,13 +228,13 @@ class Node {
   // Schedules fn after `delay`, suppressed if this node dies or restarts
   // in the meantime. A gray-slow fault stretches the delay: the node's
   // timers (and therefore everything it drives) run late.
-  void Schedule(Time delay, std::function<void()> fn) {
-    const std::uint32_t inc = net_->Incarnation(id_);
-    net_->simulator().After(delay * net_->ProcSlowdown(id_),
-                            [this, inc, fn = std::move(fn)]() {
-      if (net_->IsAlive(id_) && net_->Incarnation(id_) == inc) fn();
-    });
+  EventId Schedule(Time delay, std::function<void()> fn) {
+    return net_->simulator().AfterGuarded(delay * net_->ProcSlowdown(id_),
+                                          id_, net_->Incarnation(id_),
+                                          std::move(fn));
   }
+  // Drops a timer set by Schedule; a no-op once it has fired.
+  void CancelTimer(EventId timer) { net_->simulator().Cancel(timer); }
 
   Time Now() const { return net_->simulator().Now(); }
   util::DeterministicRng& Rng() { return rng_; }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "astrolabe/agent.h"
 #include "astrolabe/zone_path.h"
@@ -288,17 +290,27 @@ InvariantReport CheckSameDeliverySets(const std::vector<DeliveryRecord>& a,
 std::uint64_t MibContentHash(astrolabe::Deployment& dep) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   auto mix = [&h](std::uint64_t v) { h = util::HashCombine(h, v); };
+  // Replicas of one zone table are usually one shared object, so the
+  // string hashes of each table (key, then name and value per attribute)
+  // are computed once per call and only the mixing runs per replica.
+  std::unordered_map<const astrolabe::Table*, std::vector<std::uint64_t>>
+      table_hashes;
   for (std::size_t i = 0; i < dep.size(); ++i) {
     const astrolabe::Agent& agent = dep.agent(i);
     mix(util::Fnv1a64(agent.path().ToString()));
     for (std::size_t level = 0; level < agent.Depth(); ++level) {
-      for (const auto& [key, entry] : agent.TableAt(level)) {
-        mix(util::Fnv1a64(key));
-        for (const auto& [name, value] : entry.attrs) {
-          mix(util::Fnv1a64(name));
-          mix(util::Fnv1a64(value.ToString()));
+      const astrolabe::Table& table = agent.TableAt(level);
+      auto [it, fresh] = table_hashes.try_emplace(&table);
+      if (fresh) {
+        for (const auto& [key, entry] : table) {
+          it->second.push_back(util::Fnv1a64(key));
+          for (const auto& [name, value] : entry.attrs) {
+            it->second.push_back(util::Fnv1a64(name));
+            it->second.push_back(util::Fnv1a64(value.ToString()));
+          }
         }
       }
+      for (std::uint64_t v : it->second) mix(v);
     }
   }
   return h;

@@ -262,7 +262,8 @@ TEST(Multicast, ReliableHopWireBytesFollowTheItemFormula) {
   env.dep().RunFor(30);
   ASSERT_EQ(env.svc(0).stats().retransmits, 0u);
   const auto& rfwd =
-      env.dep().net().StatsByType().at(MulticastService::kReliableType);
+      env.dep().net().StatsByType().at(
+          std::string(MulticastService::kReliableType.name()));
   ASSERT_EQ(rfwd.messages, 3u);
   // id 3 + zone "/nK" 3 + 16 + row (8 + "urgency" 7 + 2 + int 8 = 25)
   // + body 500 = 547 per relay; + 8 hop id + 64 header on the wire.

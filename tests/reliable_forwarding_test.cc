@@ -251,6 +251,51 @@ TEST(ReliableForwarding, FaultFreeRunAcksEverythingNoRetransmits) {
   EXPECT_EQ(env.TotalPending(), 0u);  // all timers canceled by acks
 }
 
+TEST(ReliableForwarding, AcksCancelEveryRetransmitTimer) {
+  ReliableEnv env(27, 3);  // three zone levels
+  sim::Simulator& sim = env.dep().sim();
+  const std::size_t idle = sim.PendingEvents();  // recurring timers only
+  env.svc(0).SendToZone(ZonePath::Root(), env.MakeItem("a#1"));
+  ASSERT_GT(env.TotalPending(), 0u);
+  while (env.TotalPending() > 0) ASSERT_TRUE(sim.Step());
+  EXPECT_EQ(env.TotalDeliveries(), 27u);
+  EXPECT_EQ(env.Totals().retransmits, 0u);
+  // The last ack is in: no hop's timer is left to fire.
+  EXPECT_EQ(sim.PendingEvents(), idle);
+}
+
+// Exact counters of a lossy and a failover run, pinned so that a change
+// to timer handling that alters which retransmissions happen shows here.
+TEST(ReliableForwarding, LossyAndFailoverRunsKeepTheirExactCounts) {
+  sim::NetworkConfig lossy_net;
+  lossy_net.loss_prob = 0.3;
+  MulticastConfig mc;
+  mc.redundancy = 1;
+  ReliableEnv lossy(16, 4, mc, lossy_net);
+  for (int k = 0; k < 5; ++k) {
+    lossy.svc(0).SendToZone(ZonePath::Root(),
+                            lossy.MakeItem("a#" + std::to_string(k)));
+  }
+  lossy.dep().RunFor(40);
+  const MulticastStats l = lossy.Totals();
+  EXPECT_EQ(lossy.TotalDeliveries(), 80u);
+  EXPECT_EQ(l.acks_received, 75u);
+  EXPECT_EQ(l.retransmits, 94u);
+  EXPECT_EQ(l.failovers, 8u);
+  EXPECT_EQ(l.duplicates, 35u);
+
+  ReliableEnv failover(27, 3, mc);
+  failover.dep().net().Kill(failover.dep().agent(5).id());
+  failover.svc(0).SendToZone(ZonePath::Root(), failover.MakeItem("a#1"));
+  failover.dep().RunFor(30);
+  const MulticastStats f = failover.Totals();
+  EXPECT_EQ(failover.TotalDeliveries(), 26u);
+  EXPECT_EQ(f.acks_received, 25u);
+  EXPECT_EQ(f.retransmits, 19u);
+  EXPECT_EQ(f.failovers, 1u);
+  EXPECT_EQ(f.abandoned, 0u);
+}
+
 TEST(ReliableForwarding, RetransmitRecoversFromHeavyLoss) {
   sim::NetworkConfig net;
   net.loss_prob = 0.3;

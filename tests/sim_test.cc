@@ -1,7 +1,9 @@
 // Unit tests for the discrete-event simulator and network model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/network.h"
@@ -104,6 +106,129 @@ TEST(Simulator, EventsCanScheduleEvents) {
   EXPECT_DOUBLE_EQ(sim.Now(), 5.0);
 }
 
+// ---- cancellation (EventId) ----------------------------------------------
+
+TEST(SimulatorCancel, CancelledEventNeverRunsAndIsNotPending) {
+  Simulator sim;
+  std::vector<int> ran;
+  sim.At(1.0, [&] { ran.push_back(1); });
+  const EventId second = sim.At(2.0, [&] { ran.push_back(2); });
+  sim.At(3.0, [&] { ran.push_back(3); });
+  EXPECT_EQ(sim.PendingEvents(), 3u);
+  EXPECT_TRUE(sim.Cancel(second));
+  EXPECT_EQ(sim.PendingEvents(), 2u);
+  sim.RunUntilIdle();
+  EXPECT_EQ(ran, (std::vector<int>{1, 3}));
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+  EXPECT_FALSE(sim.Step());
+}
+
+TEST(SimulatorCancel, CancelAfterFiringOrTwiceDoesNothing) {
+  Simulator sim;
+  int fired = 0;
+  const EventId done = sim.At(1.0, [&] { ++fired; });
+  sim.RunUntilIdle();
+  EXPECT_FALSE(sim.Cancel(done));
+  EXPECT_EQ(fired, 1);
+
+  const EventId twice = sim.At(2.0, [&] { ++fired; });
+  sim.At(3.0, [&] { ++fired; });
+  EXPECT_TRUE(sim.Cancel(twice));
+  EXPECT_FALSE(sim.Cancel(twice));
+  EXPECT_EQ(sim.PendingEvents(), 1u);
+  EXPECT_FALSE(sim.Cancel(EventId{}));  // names nothing
+  sim.RunUntilIdle();
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(SimulatorCancel, StaleIdDoesNotCancelTheSlotsNextEvent) {
+  Simulator sim;
+  std::vector<int> ran;
+  const EventId old_fired = sim.At(1.0, [&] { ran.push_back(1); });
+  sim.RunUntilIdle();
+  const EventId reused = sim.At(2.0, [&] { ran.push_back(2); });
+  ASSERT_EQ(reused.slot, old_fired.slot);  // the slot was recycled
+  EXPECT_FALSE(sim.Cancel(old_fired));
+
+  // A cancelled event's slot is recycled once its key leaves the heap.
+  const EventId old_cancelled = sim.At(3.0, [&] { ran.push_back(3); });
+  EXPECT_TRUE(sim.Cancel(old_cancelled));
+  sim.RunUntilIdle();
+  const EventId next = sim.At(4.0, [&] { ran.push_back(4); });
+  EXPECT_FALSE(sim.Cancel(old_cancelled));
+  EXPECT_NE(next.generation, old_cancelled.generation);
+  sim.RunUntilIdle();
+  EXPECT_EQ(ran, (std::vector<int>{1, 2, 4}));
+}
+
+// Runs a fixed schedule of node and global events, some of which spawn
+// same-time children, and cancels the events whose labels are in `drop`.
+std::vector<std::string> RunScheduleCancelling(
+    const std::vector<std::string>& drop) {
+  Simulator sim;
+  sim.EnsureContexts(4);
+  std::vector<std::string> order;
+  std::vector<std::pair<std::string, EventId>> ids;
+  for (int i = 0; i < 24; ++i) {
+    const std::string label = "e" + std::to_string(i);
+    const Time t = 1.0 + (i % 5) * 0.5;
+    auto body = [&sim, &order, label, i] {
+      order.push_back(label);
+      if (i % 4 == 0) {
+        sim.At(sim.Now(), [&order, label] { order.push_back(label + ".c"); });
+      }
+    };
+    ids.emplace_back(label, i % 3 == 0 ? sim.At(t, body)
+                                       : sim.AtNode(i % 4, t, body));
+  }
+  for (const auto& [label, id] : ids) {
+    if (std::find(drop.begin(), drop.end(), label) != drop.end()) {
+      EXPECT_TRUE(sim.Cancel(id));
+    }
+  }
+  sim.RunUntilIdle();
+  return order;
+}
+
+TEST(SimulatorCancel, CancellingEventsLeavesTheOrderOfTheRestUnchanged) {
+  const std::vector<std::string> all = RunScheduleCancelling({});
+  ASSERT_EQ(all.size(), 30u);
+  // One cancel, then more than half: the latter also compacts the heap.
+  for (const std::vector<std::string>& drop :
+       {std::vector<std::string>{"e7"},
+        std::vector<std::string>{"e1", "e2", "e3", "e5", "e6", "e9", "e10",
+                                 "e11", "e13", "e14", "e15", "e17", "e18",
+                                 "e19", "e21"}}) {
+    std::vector<std::string> expected;
+    for (const std::string& label : all) {
+      const std::string parent = label.substr(0, label.find('.'));
+      if (std::find(drop.begin(), drop.end(), parent) == drop.end()) {
+        expected.push_back(label);
+      }
+    }
+    EXPECT_EQ(RunScheduleCancelling(drop), expected);
+  }
+}
+
+TEST(SimulatorCancel, RunUntilWithACancelledHeadStillEndsAtT) {
+  Simulator sim;
+  int fired = 0;
+  const EventId head = sim.At(1.0, [&] { ++fired; });
+  sim.At(5.0, [&] { ++fired; });
+  ASSERT_TRUE(sim.Cancel(head));
+  sim.RunUntil(2.0);
+  EXPECT_DOUBLE_EQ(sim.Now(), 2.0);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.PendingEvents(), 1u);
+  const EventId only = sim.At(6.0, [&] { ++fired; });
+  sim.RunUntil(5.5);
+  ASSERT_TRUE(sim.Cancel(only));
+  sim.RunUntil(7.0);
+  EXPECT_DOUBLE_EQ(sim.Now(), 7.0);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+}
+
 class Recorder : public Node {
  public:
   void OnMessage(const Message& msg) override {
@@ -112,6 +237,7 @@ class Recorder : public Node {
   }
   std::vector<Message> received;
   std::vector<Time> receive_times;
+  using Node::CancelTimer;
   using Node::Schedule;
   using Node::Send;
 };
@@ -259,6 +385,26 @@ TEST(Network, RebornNodeReceivesNewTrafficExactlyOnce) {
   // no duplicate, no resurrection of the old delivery.
   ASSERT_EQ(env.nodes[1]->received.size(), 1u);
   EXPECT_EQ(env.nodes[1]->received[0].As<Ping>().value, 2);
+}
+
+TEST(Network, GuardedTimerIsDroppedAfterKillAndAfterKillThenRestart) {
+  Env env(NetworkConfig{}, 4);
+  std::vector<int> fired;
+  for (int n = 0; n < 4; ++n) {
+    env.nodes[n]->Schedule(1.0, [&fired, n] { fired.push_back(n); });
+  }
+  const EventId cancelled =
+      env.nodes[3]->Schedule(0.5, [&fired] { fired.push_back(30); });
+  env.nodes[3]->CancelTimer(cancelled);
+  env.sim.At(0.2, [&] { env.net.Kill(1); });     // dead when it fires
+  env.sim.At(0.3, [&] { env.net.Kill(2); });     // reborn when it fires
+  env.sim.At(0.6, [&] { env.net.Restart(2); });
+  env.sim.RunUntilIdle();
+  EXPECT_EQ(fired, (std::vector<int>{0, 3}));
+  // A timer set by the reborn process runs.
+  env.nodes[2]->Schedule(1.0, [&fired] { fired.push_back(2); });
+  env.sim.RunUntilIdle();
+  EXPECT_EQ(fired, (std::vector<int>{0, 3, 2}));
 }
 
 TEST(Network, PartitionBlocksCrossGroupTraffic) {
