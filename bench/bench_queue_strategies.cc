@@ -43,7 +43,7 @@ Outcome Run(multicast::QueueStrategy strategy) {
   Outcome out;
   // Per-subscriber handler classifies latency by urgency.
   for (std::size_t i = 0; i < sys.subscriber_count(); ++i) {
-    sys.subscriber(i).SetNewsHandler(
+    sys.subscriber(i).AddNewsHandler(
         [&out](const newswire::NewsItem& item, double latency) {
           if (item.urgency <= 2) {
             out.flash.Add(latency);

@@ -61,7 +61,7 @@ RunResult Run(double churn_pct, bool reliable) {
   cfg.subjects_per_subscriber = 3;
   cfg.gossip_period = 1.0;
   cfg.multicast.redundancy = 1;  // isolate the relay discipline
-  cfg.multicast.reliable.enabled = reliable;
+  if (!reliable) cfg.multicast.reliable.max_pending = 0;  // fire-and-forget
   cfg.subscriber.repair_interval = kRepairInterval;
   cfg.subscriber.repair_window = 3600.0;
   cfg.seed = 0xE15;

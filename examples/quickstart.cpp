@@ -30,7 +30,7 @@ int main() {
   sys.subscriber(29).SetPredicate("urgency <= 2");  // breaking news only
 
   for (std::size_t i : {2u, 11u, 29u}) {
-    sys.subscriber(i).SetNewsHandler(
+    sys.subscriber(i).AddNewsHandler(
         [i](const newswire::NewsItem& item, double latency) {
           std::printf("  subscriber %2zu <- %-10s '%s' (%.0f ms after publish)\n",
                       i, item.Id().c_str(), item.headline.c_str(),

@@ -35,7 +35,7 @@ int main() {
   cfg.catalog_size = 6;
   cfg.subjects_per_subscriber = 2;
   cfg.zipf_skew = 1.0;  // slashdot-style popularity skew
-  cfg.verify_publishers = true;
+  cfg.subscriber.verify_publishers = true;
   cfg.subscriber.repair_interval = 10.0;
   cfg.seed = 1986;
   newswire::NewswireSystem sys(cfg);

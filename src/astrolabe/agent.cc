@@ -43,22 +43,6 @@ std::optional<GossipWireMode> GossipWireModeFromName(std::string_view name) {
   return std::nullopt;
 }
 
-const char* DetectorModeName(DetectorMode mode) noexcept {
-  switch (mode) {
-    case DetectorMode::kFixed:
-      return "fixed";
-    case DetectorMode::kPhiAccrual:
-      return "phi";
-  }
-  return "?";
-}
-
-std::optional<DetectorMode> DetectorModeFromName(std::string_view name) {
-  if (name == "fixed") return DetectorMode::kFixed;
-  if (name == "phi") return DetectorMode::kPhiAccrual;
-  return std::nullopt;
-}
-
 std::string DefaultCoreFunctionCode(std::int64_t contacts_per_zone) {
   // Elect the least-loaded representatives (paper §5: selection "combines
   // the local knowledge of availability ... the load on those paths and the
@@ -523,48 +507,30 @@ void Agent::ExpireRows() {
   const double now = Now();
   const double cutoff =
       now - config_.gossip_period * config_.fail_timeout_rounds;
-  if (config_.detector == DetectorMode::kFixed) {
-    if (cutoff <= 0) return;
-    for (std::size_t level = 0; level < Depth(); ++level) {
-      const std::string& keep = config_.path.Component(level);
-      // Probe on the const replica first so a converged shared table is not
-      // cloned needlessly.
-      bool any = false;
-      for (const auto& [key, entry] : *tables_[level]) {
-        if (key != keep && entry.last_refresh < cutoff) {
-          any = true;
-          break;
-        }
+  // Phi-accrual: judge each row against its own observed version-advance
+  // rhythm; rows without enough samples yet fall back to the fixed rule.
+  for (std::size_t level = 0; level < Depth(); ++level) {
+    const std::string& keep = config_.path.Component(level);
+    // Decided on the const replica, so a converged shared table is not
+    // cloned needlessly.
+    std::vector<std::string> doomed;
+    for (const auto& [key, entry] : *tables_[level]) {
+      if (key == keep) continue;
+      const std::string dkey = DetectorKey(level, key);
+      bool expire;
+      if (detector_.SampleCount(dkey) >= config_.phi.min_samples) {
+        expire = detector_.Suspect(dkey, now, config_.gossip_period);
+      } else {
+        expire = cutoff > 0 && entry.last_refresh < cutoff;
       }
-      if (any) {
-        stats_.rows_expired +=
-            MutableTableAt(level).ExpireOlderThan(cutoff, keep);
-      }
+      if (expire) doomed.push_back(key);
     }
-  } else {
-    // Phi-accrual: judge each row against its own observed version-advance
-    // rhythm; rows without enough samples yet fall back to the fixed rule.
-    for (std::size_t level = 0; level < Depth(); ++level) {
-      const std::string& keep = config_.path.Component(level);
-      std::vector<std::string> doomed;  // decided on the const replica
-      for (const auto& [key, entry] : *tables_[level]) {
-        if (key == keep) continue;
-        const std::string dkey = DetectorKey(level, key);
-        bool expire;
-        if (detector_.SampleCount(dkey) >= config_.phi.min_samples) {
-          expire = detector_.Suspect(dkey, now, config_.gossip_period);
-        } else {
-          expire = cutoff > 0 && entry.last_refresh < cutoff;
-        }
-        if (expire) doomed.push_back(key);
-      }
-      if (doomed.empty()) continue;
-      Table& local = MutableTableAt(level);
-      for (const std::string& key : doomed) local.Erase(key);
-      stats_.rows_expired += doomed.size();
-      // Arrival history is kept: if the row comes back, its learned rhythm
-      // still applies (and keeps adapting).
-    }
+    if (doomed.empty()) continue;
+    Table& local = MutableTableAt(level);
+    for (const std::string& key : doomed) local.Erase(key);
+    stats_.rows_expired += doomed.size();
+    // Arrival history is kept: if the row comes back, its learned rhythm
+    // still applies (and keeps adapting).
   }
   const std::uint64_t expired = stats_.rows_expired - expired_before;
   if (expired > 0) {
@@ -866,9 +832,7 @@ void Agent::MergeRows(const std::string& zone_text, const Rows& rows) {
       ++stats_.rows_merged;
       // A version advance is the row's liveness heartbeat: feed the
       // accrual detector's inter-arrival history.
-      if (config_.detector == DetectorMode::kPhiAccrual) {
-        detector_.Heartbeat(DetectorKey(level, key), now);
-      }
+      detector_.Heartbeat(DetectorKey(level, key), now);
     }
   }
   const std::uint64_t merged = stats_.rows_merged - merged_before;
@@ -916,8 +880,7 @@ void Agent::MergeRefreshes(const std::string& zone_text,
     if (level + 1 == Depth() && refresh.key == config_.path.Leaf()) {
       continue;  // we alone author our MIB row
     }
-    if (local.MergeRefresh(refresh, now) &&
-        config_.detector == DetectorMode::kPhiAccrual) {
+    if (local.MergeRefresh(refresh, now)) {
       detector_.Heartbeat(DetectorKey(level, refresh.key), now);
     }
   }

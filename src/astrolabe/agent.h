@@ -1,8 +1,9 @@
 // The Astrolabe agent (paper §3): one per machine. Owns the machine's MIB
 // row, replicates the zone tables on its path to the root, gossips them
 // epidemically, recomputes aggregation functions whenever child tables
-// change, detects failures by row expiry, and spreads signed
-// aggregation-function certificates as mobile code.
+// change, detects failures by row expiry (phi accrual, which applies the
+// fixed fail timeout to rows it has too few samples for), and spreads
+// signed aggregation-function certificates as mobile code.
 //
 // Table replicas are held through shared_ptr with copy-on-write so that a
 // converged system (e.g. the 100k-leaf dissemination experiments, which
@@ -44,28 +45,18 @@ const char* GossipWireModeName(GossipWireMode mode) noexcept;
 // "full" / "delta" -> mode; nullopt on anything else.
 std::optional<GossipWireMode> GossipWireModeFromName(std::string_view name);
 
-// Row-expiry (failure detection) mode:
-//  * kFixed — legacy: a row expires after fail_timeout_rounds gossip
-//    periods without a fresher version, whatever the observed rhythm.
-//  * kPhiAccrual — default: per-row phi-accrual detection over the
-//    observed version-advance intervals (failure_detector.h); the fixed
-//    rule remains the cold-start fallback until enough samples accrue.
-enum class DetectorMode { kFixed, kPhiAccrual };
-
-const char* DetectorModeName(DetectorMode mode) noexcept;
-// "fixed" / "phi" -> mode; nullopt on anything else.
-std::optional<DetectorMode> DetectorModeFromName(std::string_view name);
-
 struct AgentConfig {
   ZonePath path;                  // full leaf path, depth >= 1
   double gossip_period = 2.0;     // seconds between rounds
-  double fail_timeout_rounds = 6; // fixed-mode row expiry (and the phi
-                                  // cold-start fallback), in gossip periods
+  // Row expiry: phi accrual over each row's version-advance intervals
+  // (failure_detector.h); until a row has phi.min_samples of them, it
+  // expires after fail_timeout_rounds periods without a fresher version.
+  // phi.min_samples = SIZE_MAX keeps every row on that fixed rule.
+  double fail_timeout_rounds = 6;
   std::int64_t contacts_per_zone = 3;  // representatives per zone (paper §5)
   PublicKey trust_root = 0;       // anchor for certificate validation
   GossipWireMode wire_mode = GossipWireMode::kDelta;
-  DetectorMode detector = DetectorMode::kPhiAccrual;
-  PhiAccrualConfig phi;           // tuning for kPhiAccrual
+  PhiAccrualConfig phi;
   // Escape hatch (--force-full-recompute in newswire_sim): disable the
   // dirty-tracked aggregation memo and re-evaluate every level on every
   // RecomputeAggregates, as the engine did before DESIGN.md §11. Both modes
@@ -215,7 +206,7 @@ class Agent : public sim::Node {
   const AggStats& agg_stats() const { return agg_stats_; }
 
   // The row-expiry failure detector (read-only; for tests and health
-  // introspection). Only consulted when config().detector == kPhiAccrual.
+  // introspection). Rows below config().phi.min_samples do not consult it.
   const PhiAccrualDetector& failure_detector() const { return detector_; }
 
   // sim::Node

@@ -8,6 +8,9 @@ namespace nw::astrolabe {
 
 namespace {
 
+// Bootstrap contacts per agent drawn from its own leaf-parent zone.
+constexpr std::size_t kSeedPeers = 3;
+
 std::size_t DepthFor(std::size_t n, std::size_t branching) {
   std::size_t depth = 1;
   std::size_t capacity = branching;
@@ -73,7 +76,6 @@ Deployment::Deployment(DeploymentConfig config)
     ac.fail_timeout_rounds = config_.fail_timeout_rounds;
     ac.contacts_per_zone = config_.contacts_per_zone;
     ac.wire_mode = config_.gossip_wire;
-    ac.detector = config_.detector;
     ac.phi = config_.phi;
     ac.force_full_recompute = config_.force_full_recompute;
     ac.trust_root = root_authority_.public_key();
@@ -113,7 +115,7 @@ Deployment::Deployment(DeploymentConfig config)
     };
     // Siblings in the leaf-parent zone...
     add_from(by_prefix[paths_[i].Prefix(depth_ - 1).ToString()],
-             config_.seed_peers);
+             kSeedPeers);
     // ...plus introducers sharing exactly `level` components.
     for (std::size_t level = 0; level + 1 < depth_; ++level) {
       add_from(by_prefix[paths_[i].Prefix(level).ToString()], 2);

@@ -27,12 +27,10 @@ struct DeploymentConfig {
   double fail_timeout_rounds = 6;
   std::int64_t contacts_per_zone = 3;
   GossipWireMode gossip_wire = GossipWireMode::kDelta;
-  DetectorMode detector = DetectorMode::kPhiAccrual;
-  PhiAccrualConfig phi;  // kPhiAccrual tuning, forwarded to every agent
+  PhiAccrualConfig phi;  // row-expiry tuning, forwarded to every agent
   // Escape hatch: disable the dirty-tracked aggregation memo in every
   // agent (AgentConfig::force_full_recompute).
   bool force_full_recompute = false;
-  std::size_t seed_peers = 3;  // bootstrap contacts per agent
   sim::NetworkConfig net;
   std::uint64_t seed = 1;
   // Optional observability sinks, installed on the network before any

@@ -5,6 +5,17 @@
 
 namespace nw::astrolabe {
 
+namespace {
+
+// Seconds; floors the model's sigma so a perfectly regular heartbeat still
+// tolerates scheduling jitter.
+constexpr double kMinStd = 0.1;
+// Always suspect past this many silent periods (bounds detection time when
+// the learned distribution is very wide).
+constexpr double kCapRounds = 16;
+
+}  // namespace
+
 void PhiAccrualDetector::Heartbeat(const std::string& key, double now) {
   auto [it, inserted] = histories_.try_emplace(key);
   History& h = it->second;
@@ -43,7 +54,7 @@ void PhiAccrualDetector::ModelOf(const History& h, double* mean,
     var += d * d;
   }
   if (n > 0) var /= double(n);
-  *std_dev = std::max(std::sqrt(var), config_.min_std);
+  *std_dev = std::max(std::sqrt(var), kMinStd);
 }
 
 double PhiAccrualDetector::Phi(const std::string& key, double now) const {
@@ -65,7 +76,7 @@ bool PhiAccrualDetector::Suspect(const std::string& key, double now,
   if (it == histories_.end()) return false;
   const double elapsed = now - it->second.last;
   if (elapsed < config_.floor_rounds * period) return false;
-  if (elapsed > config_.cap_rounds * period) return true;
+  if (elapsed > kCapRounds * period) return true;
   if (it->second.count < config_.min_samples) return false;
   return Phi(key, now) > config_.threshold;
 }

@@ -26,22 +26,16 @@ struct PhiAccrualConfig {
   double threshold = 8.0;    // suspect when phi exceeds this
   std::size_t window = 20;   // inter-arrival samples kept per key
   std::size_t min_samples = 3;  // below this, callers fall back to the
-                                // legacy fixed timeout
-  double min_std = 0.1;      // seconds; floors the model's sigma so a
-                             // perfectly regular heartbeat still tolerates
-                             // scheduling jitter
+                                // fixed timeout; SIZE_MAX = always fixed
   double floor_rounds = 6;   // never suspect within this many periods of
                              // the last arrival, whatever phi says. The
-                             // default matches the legacy
+                             // default matches the fixed rule's
                              // fail_timeout_rounds, so phi is never more
                              // trigger-happy than the fixed rule it
                              // replaces — adaptivity only ever extends
                              // the benefit of the doubt (short outages
                              // that the fixed cutoff rode out, like a
                              // sub-6-round crash/restart, still ride out)
-  double cap_rounds = 16;    // always suspect past this many silent
-                             // periods (bounds detection time when the
-                             // learned distribution is very wide)
 };
 
 class PhiAccrualDetector {

@@ -1,7 +1,7 @@
 #include "astrolabe/query.h"
 
-#include "astrolabe/sql/eval.h"
 #include "astrolabe/sql/parser.h"
+#include "astrolabe/sql/plan.h"
 
 namespace nw::astrolabe {
 
@@ -45,8 +45,8 @@ void QueryService::HandleRequest(const sim::Message& msg) {
     ++stats_.rejected;
   } else {
     try {
-      const sql::Query query = sql::ParseQuery(req.sql);
-      resp.row = sql::EvalQuery(query, agent_.TableAt(req.level));
+      resp.row = sql::CompiledQuery::Compile(sql::ParseQuery(req.sql))
+                     .Eval(agent_.TableAt(req.level));
       resp.ok = true;
       ++stats_.answered;
     } catch (const sql::ParseError& e) {

@@ -11,15 +11,36 @@ using astrolabe::Agent;
 using astrolabe::Row;
 using astrolabe::ZonePath;
 
+namespace {
+
+// Re-check interval for queues left non-empty by the forwarding budget.
+constexpr double kDrainInterval = 0.05;
+// Sends to one peer before a hop fails over to an alternate representative
+// of the same child zone.
+constexpr int kAttemptsPerPeer = 3;
+// Election avoidance (DESIGN.md §10): the load reported for representative
+// election is load + (1 - health) * kHealthLoadPenalty, so SELECT TOP(k ...
+// ORDER BY load ASC) steers around unhealthy nodes without a schema change.
+constexpr double kHealthLoadPenalty = 0.5;
+// Bad events per report interval that drive instantaneous health to 0.
+constexpr double kHealthEventsFullPenalty = 20.0;
+
+// An empty suspicion cache. A kSlow (gray) quarantine starts at a quarter
+// of the kDead TTL and doubles per strike up to it.
+SuspicionCache FreshSuspicions(const ReliableConfig& rc) {
+  return SuspicionCache(rc.suspicion_ttl, rc.suspicion_ttl / 4,
+                        rc.escalate_strikes);
+}
+
+}  // namespace
+
 MulticastService::MulticastService(Agent& agent, MulticastConfig config)
     : agent_(agent),
       config_(config),
       path_text_(agent_.path().ToString()),
       budget_(config.forward_bytes_per_sec, config.forward_burst_bytes),
       backoff_(config.reliable),
-      suspects_(config.reliable.suspicion_ttl,
-                config.reliable.slow_suspicion_ttl,
-                config.reliable.escalate_strikes) {
+      suspects_(FreshSuspicions(config.reliable)) {
   prefix_len_.push_back(0);
   for (std::size_t i = 0; i < agent_.Depth(); ++i) {
     prefix_len_.push_back(prefix_len_.back() + 1 +
@@ -53,9 +74,7 @@ void MulticastService::OnRestart() {
   queues_.clear();
   for (const auto& [hop_id, hop] : pending_) agent_.CancelTimer(hop.ack_timer);
   pending_.clear();
-  suspects_ = SuspicionCache(config_.reliable.suspicion_ttl,
-                             config_.reliable.slow_suspicion_ttl,
-                             config_.reliable.escalate_strikes);
+  suspects_ = FreshSuspicions(config_.reliable);
   seen_.clear();
   seen_order_.clear();
   drain_scheduled_ = false;
@@ -107,33 +126,28 @@ void MulticastService::ReportLoad() {
       (config_.load_report_interval * config_.forward_bytes_per_sec);
   load_ewma_ = 0.7 * load_ewma_ + 0.3 * std::min(1.0, inst);
 
-  double health = 1.0;
-  if (config_.report_health) {
-    // Self-assessed health (DESIGN.md §10): duplicate reliable hops mean
-    // our acks were lost or too slow, and integrity drops mean inbound
-    // frames arrive corrupted — both symptoms a gray node can observe
-    // about itself, from its own counters, without any oracle.
-    const std::uint64_t corrupt = agent_.gossip_stats().integrity_drops;
-    const std::uint64_t bad = (corrupt - last_integrity_drops_) +
-                              (stats_.dup_hops_received - last_dup_hops_);
-    last_integrity_drops_ = corrupt;
-    last_dup_hops_ = stats_.dup_hops_received;
-    const double inst_health =
-        1.0 - std::min(1.0, double(bad) /
-                                std::max(1.0, config_.health_events_full_penalty));
-    health_ewma_ = 0.7 * health_ewma_ + 0.3 * inst_health;
-    // Quantized so small fluctuations do not churn MIB content versions.
-    health = std::round(health_ewma_ * 20.0) / 20.0;
-    if (health != last_health_reported_) {
-      agent_.SetLocalAttr(astrolabe::kAttrHealth, health);
-      last_health_reported_ = health;
-    }
+  // Self-assessed health (DESIGN.md §10): duplicate reliable hops mean our
+  // acks were lost or too slow, and integrity drops mean inbound frames
+  // arrive corrupted — both symptoms a gray node can observe about itself,
+  // from its own counters, without any oracle.
+  const std::uint64_t corrupt = agent_.gossip_stats().integrity_drops;
+  const std::uint64_t bad = (corrupt - last_integrity_drops_) +
+                            (stats_.dup_hops_received - last_dup_hops_);
+  last_integrity_drops_ = corrupt;
+  last_dup_hops_ = stats_.dup_hops_received;
+  const double inst_health =
+      1.0 - std::min(1.0, double(bad) / kHealthEventsFullPenalty);
+  health_ewma_ = 0.7 * health_ewma_ + 0.3 * inst_health;
+  // Quantized so small fluctuations do not churn MIB content versions.
+  const double health = std::round(health_ewma_ * 20.0) / 20.0;
+  if (health != last_health_reported_) {
+    agent_.SetLocalAttr(astrolabe::kAttrHealth, health);
+    last_health_reported_ = health;
   }
   // Election sees the effective load: an unhealthy node inflates its
   // reported load so the least-loaded election (§5) steers around it.
-  agent_.SetLocalAttr(
-      astrolabe::kAttrLoad,
-      load_ewma_ + (1.0 - health) * config_.health_load_penalty);
+  agent_.SetLocalAttr(astrolabe::kAttrLoad,
+                      load_ewma_ + (1.0 - health) * kHealthLoadPenalty);
   agent_.Schedule(config_.load_report_interval, [this] { ReportLoad(); });
 }
 
@@ -336,7 +350,7 @@ void MulticastService::ChooseReps(ChildQueue& q,
 }
 
 std::int64_t MulticastService::UrgencyOf(const Item& item) const {
-  auto it = item.metadata.find(config_.urgency_attr);
+  auto it = item.metadata.find(kAttrUrgency);
   if (it == item.metadata.end() ||
       it->second.type() != astrolabe::AttrValue::Type::kInt) {
     return 5;  // NITF mid-range default
@@ -395,8 +409,7 @@ bool MulticastService::SendEntry(QueueEntry& entry, double now) {
     ++stats_.forwards;
     if (m != nullptr) m->Add(obs_.forwards, agent_.id());
     stats_.forward_bytes += wire;
-    if (config_.reliable.enabled &&
-        pending_.size() < config_.reliable.max_pending) {
+    if (pending_.size() < config_.reliable.max_pending) {
       const std::uint64_t hop_id = next_hop_id_++;
       PendingHop& hop = pending_[hop_id];
       hop.env = entry.env;
@@ -405,7 +418,7 @@ bool MulticastService::SendEntry(QueueEntry& entry, double now) {
       hop.first_sent = now;
       TransmitHop(hop_id, hop);
     } else {
-      if (config_.reliable.enabled) ++stats_.pending_overflow;
+      if (config_.reliable.max_pending > 0) ++stats_.pending_overflow;
       agent_.Send(sim::Message::Make(agent_.id(), rep, kForwardType,
                                      entry.env, wire));
     }
@@ -470,7 +483,7 @@ void MulticastService::OnAckTimeout(std::uint64_t hop_id) {
       contacts.empty() ||  // row expired/unknown: keep trying the last rep
       std::find(contacts.begin(), contacts.end(), hop.dest) != contacts.end();
 
-  if (hop.attempt >= config_.reliable.attempts_per_peer || !dest_is_current) {
+  if (hop.attempt >= kAttemptsPerPeer || !dest_is_current) {
     // Fail over to an alternate representative of the same child zone.
     // Timing out is slow-level evidence, not death: gray peers re-admit
     // with backoff and only escalate to dead after repeated strikes.
@@ -608,7 +621,7 @@ void MulticastService::DrainQueues() {
   }
   if (any_left && !drain_scheduled_) {
     drain_scheduled_ = true;
-    agent_.Schedule(config_.drain_interval, [this] {
+    agent_.Schedule(kDrainInterval, [this] {
       drain_scheduled_ = false;
       DrainQueues();
     });

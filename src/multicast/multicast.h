@@ -9,16 +9,16 @@
 // suppression log and per-child forwarding queues drained by weighted
 // round-robin under a byte budget (§9).
 //
-// Two relay disciplines (PROTOCOLS.md "Reliable forwarding"):
-//  * reliable (default) — every downward relay carries a hop id and the
-//    receiver acknowledges it; on timeout the sender retransmits with
-//    exponential backoff + jitter, and after `attempts_per_peer` failures
-//    fails over to an alternate representative of the same child zone,
-//    re-consulting the live contacts list at every retry so failover
-//    tracks re-election. A per-peer suspicion cache steers fresh sends
-//    away from peers that recently timed out.
-//  * fire-and-forget (legacy) — one unacknowledged mc.fwd per hop; losses
-//    are left to redundancy and the subscriber repair layer.
+// One relay discipline (PROTOCOLS.md "Reliable forwarding"): every
+// downward relay carries a hop id and the receiver acknowledges it; on
+// timeout the sender retransmits with exponential backoff + jitter, and
+// after kAttemptsPerPeer failures fails over to an alternate representative
+// of the same child zone, re-consulting the live contacts list at every
+// retry so failover tracks re-election. A per-peer suspicion cache steers
+// fresh sends away from peers that recently timed out. Custody is bounded
+// by ReliableConfig::max_pending: a relay sent while custody is full goes
+// out as one unacknowledged mc.fwd, its loss left to redundancy and the
+// subscriber repair layer. max_pending = 0 therefore is fire-and-forget.
 #pragma once
 
 #include <cstdint>
@@ -53,37 +53,27 @@ struct MulticastConfig {
   int redundancy = 1;  // representatives per child zone (paper §9, MIT-style)
   double forward_bytes_per_sec = 1e9;   // forwarding budget (token bucket)
   double forward_burst_bytes = 256e3;
-  double drain_interval = 0.05;         // re-check queues when throttled
   std::size_t max_queue_items = 10000;  // per child-zone queue bound
   std::size_t dup_log_capacity = 1 << 16;
   QueueStrategy queue_strategy = QueueStrategy::kWeightedRoundRobin;
-  // Name of the metadata attribute consulted by kUrgencyFirst and by the
-  // overflow eviction policy; lower values drain first and are shed last
-  // (NITF urgency semantics: 1 = flash).
-  std::string urgency_attr = "urgency";
   // Paper §5: representative election "combines the local knowledge of
   // availability of independent network paths ... the load on those paths
   // and the load on each node". When enabled, the forwarding component
   // periodically publishes its forwarding utilization into the agent's
   // "load" MIB attribute, which the default core aggregation uses to
   // elect the least-loaded contacts.
+  // The same reporter publishes the self-assessed "health" score
+  // (DESIGN.md §10).
   bool report_load = true;
   double load_report_interval = 5.0;
-  // Gray-failure handling (DESIGN.md §10): alongside load, publish a
-  // self-assessed health score into the "health" MIB attribute (1 =
-  // healthy). Duplicate reliable hops reaching this node (our acks were
-  // too slow or lost) and corrupted inbound frames are the symptoms; both
-  // are things a gray node can observe about itself.
-  bool report_health = true;
-  // Election avoidance: the load reported for representative election is
-  // load + (1 - health) * health_load_penalty, so SELECT TOP(k ... ORDER
-  // BY load ASC) steers around unhealthy nodes without a schema change.
-  double health_load_penalty = 0.5;
-  // Bad events per report interval that drive instantaneous health to 0.
-  double health_events_full_penalty = 20.0;
   // Hop-level ack/retransmit/failover discipline (see reliable.h).
   ReliableConfig reliable;
 };
+
+// Item metadata attribute consulted by kUrgencyFirst and by the overflow
+// eviction policy; lower values drain first and are shed last (NITF
+// urgency semantics: 1 = flash).
+inline constexpr const char* kAttrUrgency = "urgency";  // int
 
 // The unit of dissemination, as the publisher built it. SendToZone wraps
 // it in one shared immutable object, so every queue entry, pending hop,
@@ -127,12 +117,11 @@ struct MulticastStats {
   std::uint64_t retransmits = 0;     // timed-out hops sent again
   std::uint64_t failovers = 0;       // hops redirected to an alternate rep
   std::uint64_t abandoned = 0;       // hops given up after give_up_after
-  std::uint64_t pending_overflow = 0;  // hops sent unreliably: pending full
+  // Hops sent unreliably because custody was full (max_pending > 0 only).
+  std::uint64_t pending_overflow = 0;
   // Gray-failure accounting (DESIGN.md §10).
   std::uint64_t dup_hops_received = 0;  // retransmitted rfwd hops seen again
   std::uint64_t quarantines = 0;        // peers newly entering suspicion
-
-  std::uint64_t TotalOverflowLosses() const { return queue_drops; }
 };
 
 // Attaches the forwarding component to an Astrolabe agent. The service
@@ -165,11 +154,6 @@ class MulticastService {
   std::size_t pending_hops() const { return pending_.size(); }
   // Peers currently under suspicion (negative cache, TTL-pruned).
   std::size_t suspected_peers() { return suspects_.LiveCount(agent_.Now()); }
-  // Current suspicion level of `peer` (kSlow = gray-quarantined, retried
-  // with backoff; kDead = avoided until the long TTL expires).
-  SuspicionLevel SuspicionOf(sim::NodeId peer) {
-    return suspects_.LevelOf(peer, agent_.Now());
-  }
   // Smoothed self-assessed health score (1 = healthy), as last computed by
   // the load/health reporter.
   double health() const { return health_ewma_; }

@@ -4,10 +4,17 @@
 
 namespace nw::multicast {
 
+namespace {
+
+// Growth of the retransmission timeout per attempt (exponential backoff).
+constexpr double kBackoffMultiplier = 2.0;
+
+}  // namespace
+
 double BackoffPolicy::BaseDelay(int attempt) const {
   double delay = config_.ack_timeout;
   for (int i = 1; i < attempt; ++i) {
-    delay *= config_.backoff_multiplier;
+    delay *= kBackoffMultiplier;
     if (delay >= config_.backoff_cap) break;
   }
   return std::min(delay, config_.backoff_cap);

@@ -4,7 +4,7 @@
 // a crashed or partitioned representative silently loses the item for that
 // whole subtree until subscriber-level anti-entropy repairs it seconds
 // later. This header holds the small, independently testable pieces of the
-// reliable forwarding mode: the retransmission backoff schedule and the
+// reliable relay: the retransmission backoff schedule and the
 // per-peer suspicion cache (a negative cache with TTL that steers new
 // sends away from peers that recently timed out). The forwarding component
 // itself (MulticastService) wires them into the mc.rfwd/mc.ack exchange —
@@ -20,31 +20,26 @@
 
 namespace nw::multicast {
 
-// Knobs of the reliable forwarding mode. Defaults are tuned for the
+// Knobs of the reliable relay. Defaults are tuned for the
 // simulated WAN (30 ms one-way latency): the first retransmission fires
 // after ~8 RTTs, well clear of jitter, and the whole schedule caps far
 // below the subscriber repair interval so hop-level recovery always beats
 // the repair path.
 struct ReliableConfig {
-  bool enabled = true;        // false = legacy fire-and-forget relays
   double ack_timeout = 0.25;  // initial retransmission timeout (seconds)
-  double backoff_multiplier = 2.0;
   double backoff_cap = 2.0;   // ceiling on the (pre-jitter) delay
   double jitter_frac = 0.2;   // uniform jitter: delay * (1 ± jitter_frac)
-  // Retransmissions to one peer before failing over to an alternate
-  // representative of the same child zone.
-  int attempts_per_peer = 3;
   // Total time a hop keeps being retried (across failovers) before the
   // item is abandoned to the repair layer. Must exceed the longest
   // crash/partition window the deployment is expected to ride out.
   double give_up_after = 60.0;
   double suspicion_ttl = 10.0;     // negative-cache TTL for kDead (seconds)
-  // Initial quarantine for kSlow (gray) suspicions; doubles per strike up
-  // to suspicion_ttl. 0 = suspicion_ttl / 4.
-  double slow_suspicion_ttl = 0.0;
   // Slow strikes before a peer escalates to kDead.
   int escalate_strikes = 3;
-  std::size_t max_pending = 8192;  // bound on unacked hops per node
+  // Bound on unacked hops per node. A relay sent while it is reached goes
+  // out unacknowledged, so 0 = fire-and-forget: every relay is one plain
+  // mc.fwd, its loss left to redundancy and the subscriber repair layer.
+  std::size_t max_pending = 8192;
 };
 
 // The retransmission schedule: exponential backoff with a cap and
@@ -55,7 +50,7 @@ class BackoffPolicy {
   explicit BackoffPolicy(const ReliableConfig& config) : config_(config) {}
 
   // Pre-jitter delay before the `attempt`-th retransmission (attempt >= 1):
-  // min(ack_timeout * multiplier^(attempt-1), cap).
+  // min(ack_timeout * 2^(attempt-1), cap).
   double BaseDelay(int attempt) const;
 
   // BaseDelay with jitter applied: uniform in [base*(1-j), base*(1+j)].

@@ -32,7 +32,7 @@ Row NewsItem::ToMetadata() const {
   row["categories"] = static_cast<std::int64_t>(categories);
   row["revision"] = revision;
   if (!supersedes.empty()) row["supersedes"] = supersedes;
-  row["urgency"] = urgency;
+  row[multicast::kAttrUrgency] = urgency;
   row["published_at"] = published_at;
   row["signature"] = static_cast<std::int64_t>(signature);
   row["scope"] = scope;
@@ -54,7 +54,7 @@ std::optional<NewsItem> NewsItem::FromMetadata(const Row& row) {
     if (auto it = row.find("supersedes"); it != row.end()) {
       item.supersedes = it->second.AsString();
     }
-    item.urgency = row.at("urgency").AsInt();
+    item.urgency = row.at(multicast::kAttrUrgency).AsInt();
     item.published_at = row.at("published_at").AsDouble();
     if (auto it = row.find("scope"); it != row.end()) {
       item.scope = it->second.AsString();

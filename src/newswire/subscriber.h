@@ -47,10 +47,6 @@ class Subscriber {
   void AddNewsHandler(NewsHandler handler) {
     handlers_.push_back(std::move(handler));
   }
-  // Legacy-style setter kept as an alias for single-handler callers.
-  void SetNewsHandler(NewsHandler handler) {
-    AddNewsHandler(std::move(handler));
-  }
 
   // Registers a trusted publisher certificate (kPublisher, subject_key =
   // the publisher's verification key).

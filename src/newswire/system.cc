@@ -15,7 +15,7 @@ astrolabe::DeploymentConfig MakeDeploymentConfig(const SystemConfig& cfg) {
   dc.gossip_period = cfg.gossip_period;
   dc.contacts_per_zone = cfg.contacts_per_zone;
   dc.gossip_wire = cfg.gossip_wire;
-  dc.detector = cfg.detector;
+  dc.phi = cfg.phi;
   dc.force_full_recompute = cfg.force_full_recompute;
   dc.net = cfg.net;
   dc.seed = cfg.seed;
@@ -90,15 +90,19 @@ NewswireSystem::NewswireSystem(SystemConfig config)
         });
   }
 
+  // Every application core, publisher cores included, trusts every
+  // publisher, so verify_publishers means the same thing on every node.
+  for (auto& core : publisher_cores_) {
+    for (const auto& cert : publisher_certs) core->AddPublisherCert(cert);
+  }
+
   // Subscriber applications with Zipf-assigned subjects.
-  SubscriberConfig sc = config_.subscriber;
-  sc.verify_publishers = config_.verify_publishers;
   for (std::size_t i = 0; i < n; ++i) {
     if (is_publisher[i]) continue;
     const std::size_t s = subscribers_.size();
     subscriber_nodes_.push_back(i);
-    subscribers_.push_back(
-        std::make_unique<Subscriber>(dep_.agent(i), *ps_[i], sc));
+    subscribers_.push_back(std::make_unique<Subscriber>(
+        dep_.agent(i), *ps_[i], config_.subscriber));
     Subscriber& sub = *subscribers_.back();
     for (const auto& cert : publisher_certs) sub.AddPublisherCert(cert);
 
@@ -118,7 +122,7 @@ NewswireSystem::NewswireSystem(SystemConfig config)
 
     delivery_log_.emplace_back();
     delivery_cursor_.push_back(0);
-    sub.SetNewsHandler([this, s](const NewsItem& item, double latency) {
+    sub.AddNewsHandler([this, s](const NewsItem& item, double latency) {
       // Aggregation happens in FoldDeliveries(), in subscriber order.
       delivery_log_[s].emplace_back(item.Id(), latency);
     });
@@ -224,14 +228,6 @@ const util::SampleStats& NewswireSystem::latencies() const {
 std::uint64_t NewswireSystem::total_delivered() const {
   FoldDeliveries();
   return total_delivered_;
-}
-
-void NewswireSystem::ResetDeliveryLog() {
-  for (auto& log : delivery_log_) log.clear();
-  std::fill(delivery_cursor_.begin(), delivery_cursor_.end(), 0);
-  delivered_count_.clear();
-  latencies_ = util::SampleStats();
-  total_delivered_ = 0;
 }
 
 const sim::TrafficStats& NewswireSystem::PublisherTraffic(std::size_t j) {

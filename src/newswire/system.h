@@ -29,7 +29,9 @@ struct SystemConfig {
   double gossip_period = 2.0;
   std::int64_t contacts_per_zone = 3;
   astrolabe::GossipWireMode gossip_wire = astrolabe::GossipWireMode::kDelta;
-  astrolabe::DetectorMode detector = astrolabe::DetectorMode::kPhiAccrual;
+  // Row-expiry tuning; phi.min_samples = SIZE_MAX keeps every row on the
+  // fixed fail-timeout rule (AgentConfig::fail_timeout_rounds).
+  astrolabe::PhiAccrualConfig phi;
   // Escape hatch (--force-full-recompute): run the pre-§11 evaluate-every-
   // level aggregation engine instead of the dirty-tracked memo.
   bool force_full_recompute = false;
@@ -47,7 +49,6 @@ struct SystemConfig {
   double zipf_skew = 0.8;
   std::size_t body_bytes = 2048;
 
-  bool verify_publishers = false;
   bool warm_start = true;  // install converged replicas directly
   bool run_gossip = true;  // start the epidemic protocol
   std::uint64_t seed = 1;
@@ -114,7 +115,6 @@ class NewswireSystem {
   std::size_t DeliveredCount(const std::string& item_id) const;
   const util::SampleStats& latencies() const;
   std::uint64_t total_delivered() const;
-  void ResetDeliveryLog();
 
   // Publisher-side network cost (egress bytes/messages of publisher j).
   const sim::TrafficStats& PublisherTraffic(std::size_t j);

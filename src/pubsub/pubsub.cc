@@ -73,7 +73,7 @@ void PubSubService::Publish(Item item, const std::string& subject,
   auto group_for = [this](const std::string& s) {
     ValueList group;
     for (std::size_t pos : filter_.Positions(s)) {
-      group.push_back(AttrValue(static_cast<std::int64_t>(pos)));
+      group.emplace_back(static_cast<std::int64_t>(pos));
     }
     return group;
   };
@@ -81,7 +81,7 @@ void PubSubService::Publish(Item item, const std::string& subject,
     // One group per prefix: a zone subscribed to any ancestor admits.
     ValueList groups;
     for (const std::string& prefix : SubjectPrefixes(subject)) {
-      groups.push_back(AttrValue(group_for(prefix)));
+      groups.emplace_back(group_for(prefix));
     }
     item.metadata[kAttrSubBits] = std::move(groups);
   } else {

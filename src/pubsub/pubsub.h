@@ -77,16 +77,12 @@ class PubSubService {
   // ---- subscriber side ---------------------------------------------------
   void Subscribe(const std::string& subject);
   void Unsubscribe(const std::string& subject);
-  bool IsSubscribed(const std::string& subject) const {
-    return subjects_.contains(subject);
-  }
   const std::set<std::string>& subjects() const { return subjects_; }
 
   // Optional richer selection (paper §8): an SQL predicate over the item
   // metadata, evaluated after the exact subject match. Throws
   // sql::ParseError on malformed input.
   void SetPredicate(const std::string& sql_expr);
-  void ClearPredicate() { predicate_.reset(); }
 
   void SetNewsCallback(NewsCallback cb) { on_news_ = std::move(cb); }
 

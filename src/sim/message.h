@@ -94,14 +94,6 @@ struct Message {
     m.wire_bytes = wire_bytes;
     return m;
   }
-
-  // Re-addresses an existing message (payload shared, not copied).
-  Message ReaddressedTo(NodeId new_from, NodeId new_to) const {
-    Message m = *this;
-    m.from = new_from;
-    m.to = new_to;
-    return m;
-  }
 };
 
 // FNV/mix checksum over the envelope fields a real frame would carry in its

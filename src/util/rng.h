@@ -36,13 +36,6 @@ class DeterministicRng {
         (static_cast<unsigned __int128>(NextU64()) * bound) >> 64);
   }
 
-  // Uniform integer in [lo, hi] inclusive.
-  std::int64_t NextInRange(std::int64_t lo, std::int64_t hi) noexcept {
-    assert(lo <= hi);
-    return lo + static_cast<std::int64_t>(
-                    NextBelow(static_cast<std::uint64_t>(hi - lo) + 1));
-  }
-
   // Uniform double in [0, 1).
   double NextDouble() noexcept {
     return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;

@@ -3,6 +3,8 @@
 // mobile code distribution, restart re-join, and warm start.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "astrolabe/deployment.h"
 
 namespace nw::astrolabe {
@@ -76,6 +78,40 @@ TEST(AgentGossip, FailedAgentsExpireFromMembership) {
     if (!d.net().IsAlive(d.agent(i).id())) continue;
     EXPECT_EQ(RootMembers(d.agent(i)), 13) << "agent " << i;
   }
+}
+
+// Row expiries agent 0 records for agent 1's row in a two-agent zone
+// gossiping every second, while agent 1's timers run 8x late: its row's
+// version advances on a steady ~8 s rhythm, past the 6-period fixed
+// timeout. Counted over [60 s, 180 s), after phi has samples to judge by.
+std::uint64_t ExpiriesOfSlowSteadyRow(const PhiAccrualConfig& phi,
+                                      std::size_t* heartbeats) {
+  DeploymentConfig cfg = SmallConfig(2, 8);
+  cfg.gossip_period = 1.0;
+  cfg.phi = phi;
+  Deployment d(cfg);
+  d.net().SetProcSlowdown(d.agent(1).id(), 8.0);
+  d.StartAll();
+  d.RunFor(60);
+  const std::uint64_t before = d.agent(0).gossip_stats().rows_expired;
+  d.RunFor(120);
+  *heartbeats = d.agent(0).failure_detector().SampleCount("0/n1");
+  return d.agent(0).gossip_stats().rows_expired - before;
+}
+
+TEST(AgentFailureDetection, FixedRuleExpiresARegularRowSilentPastTheTimeout) {
+  PhiAccrualConfig fixed;
+  fixed.min_samples = SIZE_MAX;  // never leave the cold-start rule
+  std::size_t heartbeats = 0;
+  // Roughly one expiry per 8 s cycle.
+  EXPECT_GE(ExpiriesOfSlowSteadyRow(fixed, &heartbeats), 10u);
+  EXPECT_GE(heartbeats, 15u);  // the row kept heartbeating throughout
+}
+
+TEST(AgentFailureDetection, PhiKeepsASlowButSteadyRowAlive) {
+  std::size_t heartbeats = 0;
+  EXPECT_EQ(ExpiriesOfSlowSteadyRow(PhiAccrualConfig{}, &heartbeats), 0u);
+  EXPECT_GE(heartbeats, 15u);
 }
 
 TEST(AgentGossip, RepresentativeFailoverElectsReplacement) {

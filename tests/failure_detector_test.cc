@@ -36,9 +36,7 @@ TEST(PhiAccrualDetector, FirstHeartbeatAnchorsWithoutRecordingAnInterval) {
 }
 
 TEST(PhiAccrualDetector, CapRoundsFallbackCoversTheColdStart) {
-  PhiAccrualConfig cfg = TestConfig();
-  cfg.cap_rounds = 16;
-  PhiAccrualDetector det(cfg);
+  PhiAccrualDetector det(TestConfig());
   det.Heartbeat("0/n3", 0.0);
   // One anchor, zero intervals: below the cap the peer gets the benefit of
   // the doubt, beyond it the silence is conclusive regardless of model.

@@ -23,7 +23,7 @@ TEST(Signature, ScopeIsBoundIntoTheSignature) {
   // A valid item whose scope string is widened after signing must fail
   // verification: re-scoping a localized item is tampering.
   SystemConfig cfg = Small();
-  cfg.verify_publishers = true;
+  cfg.subscriber.verify_publishers = true;
   cfg.catalog_size = 1;
   cfg.subjects_per_subscriber = 1;
   NewswireSystem sys(cfg);

@@ -196,7 +196,7 @@ TEST(System, PublisherFlowControlThrottlesFlood) {
 
 TEST(System, ForgedItemsRejectedWhenVerificationOn) {
   SystemConfig cfg = SmallSystem(15);
-  cfg.verify_publishers = true;
+  cfg.subscriber.verify_publishers = true;
   NewswireSystem sys(cfg);
   sys.RunFor(5);
   // A legitimate item flows.

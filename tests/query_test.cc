@@ -77,6 +77,25 @@ TEST(QueryService, MalformedQueryRejectedRemotely) {
   EXPECT_EQ(env.qs(8).stats().rejected, 1u);
 }
 
+TEST(QueryService, QueryThatThrowsTypeErrorRejectedRemotely) {
+  // The query parses, but TOP cannot order an int key against a string
+  // key, so evaluation throws TypeError on the serving agent.
+  QueryEnv env(9, 3);
+  env.dep().agent(4).SetLocalAttr("name", std::string("n4"));
+  env.dep().agent(4).SetLocalAttr("rank", std::int64_t{1});
+  env.dep().agent(5).SetLocalAttr("name", std::string("n5"));
+  env.dep().agent(5).SetLocalAttr("rank", std::string("high"));
+  env.dep().WarmStart();  // refresh the warm replicas with the new attrs
+  const std::size_t leaf_level = env.dep().Depth() - 1;
+  auto result = env.Ask(0, 4, leaf_level,
+                        "SELECT TOP(2, name ORDER BY rank DESC) AS top");
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("cannot compare"), std::string::npos)
+      << result.error;
+  EXPECT_EQ(env.qs(4).stats().rejected, 1u);
+  EXPECT_EQ(env.qs(4).stats().answered, 0u);
+}
+
 TEST(QueryService, LevelOutOfRangeRejected) {
   QueryEnv env(9, 3);
   auto result = env.Ask(0, 8, 99, "SELECT COUNT(*)");

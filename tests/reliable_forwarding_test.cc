@@ -26,7 +26,6 @@ using astrolabe::ZonePath;
 TEST(BackoffPolicy, BaseDelayDoublesUpToCap) {
   ReliableConfig cfg;
   cfg.ack_timeout = 0.25;
-  cfg.backoff_multiplier = 2.0;
   cfg.backoff_cap = 2.0;
   BackoffPolicy policy(cfg);
   EXPECT_DOUBLE_EQ(policy.BaseDelay(1), 0.25);
@@ -316,7 +315,7 @@ TEST(ReliableForwarding, FireAndForgetModeLosesUnderSameLoss) {
   net.loss_prob = 0.3;
   MulticastConfig mc;
   mc.redundancy = 1;
-  mc.reliable.enabled = false;
+  mc.reliable.max_pending = 0;  // no custody: every relay is a plain mc.fwd
   ReliableEnv env(16, 4, mc, net);
   for (int k = 0; k < 5; ++k) {
     env.svc(0).SendToZone(ZonePath::Root(),
@@ -327,6 +326,7 @@ TEST(ReliableForwarding, FireAndForgetModeLosesUnderSameLoss) {
   const MulticastStats t = env.Totals();
   EXPECT_EQ(t.acks_received, 0u);
   EXPECT_EQ(t.retransmits, 0u);
+  EXPECT_EQ(t.pending_overflow, 0u);  // a bound of 0 is not an overflow
   EXPECT_EQ(env.TotalPending(), 0u);
 }
 

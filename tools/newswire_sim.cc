@@ -13,6 +13,7 @@
 //                --kill-frac 0.2 --kill-at 30 --repair-interval 5
 //   newswire_sim --subscribers 200 --hierarchical --catalog 50
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -48,7 +49,8 @@ void PrintUsage() {
       "  --subs-per-node K     subscriptions per subscriber (default 3)\n"
       "  --redundancy K        representatives per forward (default 1)\n"
       "  --reliable-forwarding hop-by-hop acks + retransmit/failover\n"
-      "                        (default true; =false for fire-and-forget)\n"
+      "                        (default true; =false for fire-and-forget,\n"
+      "                        i.e. an unacked-hop bound of 0)\n"
       "  --repair-interval S   cache anti-entropy period, 0=off (default 10)\n"
       "  --kill-frac F         fraction of subscribers to crash (default 0)\n"
       "  --kill-at S           crash time within the run (default 30)\n"
@@ -62,7 +64,8 @@ void PrintUsage() {
       "  --chaos-seed N        seed for --fault-cocktail (default: --seed);\n"
       "                        the generated plan is printed and committable\n"
       "  --detector M          row-expiry failure detector: phi | fixed\n"
-      "                        (default phi; fixed = legacy 6-round timeout)\n"
+      "                        (default phi; fixed = every row on the 6-round\n"
+      "                        timeout phi uses until a row has 3 samples)\n"
       "  --force-full-recompute  disable the dirty-tracked aggregation memo\n"
       "                        and re-evaluate every level every round\n"
       "                        (bit-identical output; DESIGN.md §11)\n"
@@ -99,9 +102,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string detector_name = flags.GetString("detector", "phi");
-  if (const auto det = astrolabe::DetectorModeFromName(detector_name)) {
-    cfg.detector = *det;
-  } else {
+  if (detector_name == "fixed") {
+    cfg.phi.min_samples = SIZE_MAX;  // never leave the cold-start rule
+  } else if (detector_name != "phi") {
     std::fprintf(stderr, "--detector: expected phi or fixed, got \"%s\"\n",
                  detector_name.c_str());
     return 2;
@@ -112,11 +115,14 @@ int main(int argc, char** argv) {
   cfg.catalog_size = std::size_t(flags.GetInt("catalog", 16));
   cfg.subjects_per_subscriber = std::size_t(flags.GetInt("subs-per-node", 3));
   cfg.multicast.redundancy = int(flags.GetInt("redundancy", 1));
-  cfg.multicast.reliable.enabled = flags.GetBool("reliable-forwarding", true);
+  if (!flags.GetBool("reliable-forwarding", true)) {
+    cfg.multicast.reliable.max_pending = 0;  // no custody: fire-and-forget
+  }
+  const bool reliable = cfg.multicast.reliable.max_pending > 0;
   cfg.subscriber.repair_interval = flags.GetDouble("repair-interval", 10.0);
   cfg.subscriber.repair_window = 3600.0;
   cfg.hierarchical_subjects = flags.GetBool("hierarchical", false);
-  cfg.verify_publishers = flags.GetBool("verify", false);
+  cfg.subscriber.verify_publishers = flags.GetBool("verify", false);
   cfg.bloom.bits = std::size_t(flags.GetInt("bloom-bits", 1024));
   cfg.seed = std::uint64_t(flags.GetInt("seed", 1));
   const double duration = flags.GetDouble("duration", 60.0);
@@ -187,7 +193,7 @@ int main(int argc, char** argv) {
       100 * cfg.net.loss_prob, items_per_sec, duration,
       kill_frac > 0 ? ", with crashes" : "",
       cfg.hierarchical_subjects ? ", hierarchical subjects" : "");
-  std::printf("forwarding: %s\n", cfg.multicast.reliable.enabled
+  std::printf("forwarding: %s\n", reliable
                                       ? "reliable (ack/retransmit/failover)"
                                       : "fire-and-forget");
 
@@ -301,7 +307,7 @@ int main(int argc, char** argv) {
   report.AddRow({"relay-only discards", util::TablePrinter::Int(long(relays))});
   report.AddRow({"duplicate suppressions", util::TablePrinter::Int(long(mc.duplicates))});
   report.AddRow({"forwarding sends", util::TablePrinter::Int(long(mc.forwards))});
-  if (cfg.multicast.reliable.enabled) {
+  if (reliable) {
     report.AddRow({"hop acks", util::TablePrinter::Int(long(mc.acks_received))});
     report.AddRow({"hop retransmits", util::TablePrinter::Int(long(mc.retransmits))});
     report.AddRow({"hop failovers", util::TablePrinter::Int(long(mc.failovers))});

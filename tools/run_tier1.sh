@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: configure, build, and run the full ctest suite.
 #
-#   tools/run_tier1.sh              # RelWithDebInfo into build/
+#   tools/run_tier1.sh              # RelWithDebInfo into build/; fails
+#                                   # if the build prints a warning
 #   ASAN=1 tools/run_tier1.sh       # ASan+UBSan into build-asan/
 #   BENCH=1 tools/run_tier1.sh      # also run every bench and validate
 #                                   # its BENCH_<name>.json report, and
@@ -13,6 +14,7 @@
 #                                   # scenario in both full and delta mode)
 #   tools/run_tier1.sh -L reliable  # hop-level ack/retransmit/failover suite
 #   tools/run_tier1.sh -L scenario  # committed fault plans + pinned goldens
+#   tools/run_tier1.sh -L cli       # newswire_sim smoke runs
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -27,7 +29,18 @@ else
 fi
 
 cmake -S "$repo" -B "$build" -DCMAKE_BUILD_TYPE=RelWithDebInfo "${extra[@]}"
-cmake --build "$build" -j "$jobs"
+if [[ "${ASAN:-0}" == "1" ]]; then
+  cmake --build "$build" -j "$jobs"
+else
+  # The default build must stay warning-free: any compiler warning in what
+  # this step compiles fails the gate (a clean build tree compiles it all).
+  build_log="$build/tier1_build.log"
+  cmake --build "$build" -j "$jobs" 2>&1 | tee "$build_log"
+  if grep -q "warning:" "$build_log"; then
+    echo "tier-1: the build printed compiler warnings (see above)" >&2
+    exit 1
+  fi
+fi
 
 ctest --test-dir "$build" --output-on-failure -j "$jobs" "$@"
 
