@@ -54,12 +54,11 @@ struct RunResult {
 
 RunResult Run(bool force_full) {
   astrolabe::DeploymentConfig cfg;
-  cfg.num_agents = kAgents;
   cfg.branching = kBranching;
   cfg.gossip_period = 1.0;
   cfg.force_full_recompute = force_full;
   cfg.seed = 0xE18;
-  astrolabe::Deployment dep(cfg);
+  astrolabe::Deployment dep(kAgents, cfg);
   dep.StartAll();
   dep.RunFor(kWarmupSeconds);
 

@@ -80,7 +80,7 @@ int main() {
     newswire::SystemConfig cfg;
     cfg.num_subscribers = 512;
     cfg.branching = 8;
-    cfg.bloom.bits = bits;
+    cfg.pubsub.bloom.bits = bits;
     cfg.catalog_size = 200;
     cfg.subjects_per_subscriber = 4;
     cfg.warm_start = true;

@@ -37,7 +37,7 @@ Outcome Run(bool hierarchical) {
   newswire::SystemConfig cfg;
   cfg.num_subscribers = 255;
   cfg.branching = 4;
-  cfg.hierarchical_subjects = hierarchical;
+  cfg.pubsub.hierarchical_subjects = hierarchical;
   cfg.catalog_size = 1;  // harness catalog unused; we subscribe manually
   cfg.subjects_per_subscriber = 0;
   cfg.warm_start = false;  // subscriptions set below, then warm

@@ -66,11 +66,10 @@ int main() {
   for (auto [n, b] : std::vector<std::pair<std::size_t, std::size_t>>{
            {64, 4}, {256, 8}, {1024, 16}, {1024, 8}}) {
     DeploymentConfig cfg;
-    cfg.num_agents = n;
     cfg.branching = b;
     cfg.gossip_period = 2.0;
     cfg.seed = 17;
-    Deployment dep(cfg);
+    Deployment dep(n, cfg);
     dep.InstallFunctionEverywhere(pubsub::kSubsFunctionName,
                                   pubsub::SubsFunctionCode());
     std::vector<std::unique_ptr<multicast::MulticastService>> mc;

@@ -43,11 +43,10 @@ void PrintFleetSummary(Deployment& dep, std::size_t observer) {
 
 int main() {
   DeploymentConfig cfg;
-  cfg.num_agents = 64;
   cfg.branching = 4;
   cfg.gossip_period = 2.0;
   cfg.seed = 3;
-  Deployment dep(cfg);
+  Deployment dep(64, cfg);
 
   // Management aggregations, distributed as signed mobile code (§3/§4).
   // Note the self-composing shape: each output attribute re-aggregates

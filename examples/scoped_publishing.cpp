@@ -16,7 +16,7 @@ int main() {
   cfg.num_subscribers = 255;  // + 1 publisher = 4 even regions of 64
   cfg.num_publishers = 1;
   cfg.branching = 4;
-  cfg.region_names = {"asia", "europe", "americas", "africa"};
+  cfg.top_level_names = {"asia", "europe", "americas", "africa"};
   cfg.catalog_size = 1;  // one channel: "world.news"
   cfg.subjects_per_subscriber = 1;
   cfg.seed = 11;

@@ -606,7 +606,7 @@ void Agent::DoGossipAt(std::size_t level) {
     t->Record(Now(), id(), obs::EventCategory::kGossip, "gossip.exchange",
               partner, level);
   }
-  GossipPayload payload = config_.wire_mode == GossipWireMode::kFull
+  GossipPayload payload = config_.gossip_wire == GossipWireMode::kFull
                               ? BuildFullPayload(level)
                               : BuildDigestPayload(level);
   AttachCerts(payload, partner);

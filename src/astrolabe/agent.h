@@ -45,8 +45,11 @@ const char* GossipWireModeName(GossipWireMode mode) noexcept;
 // "full" / "delta" -> mode; nullopt on anything else.
 std::optional<GossipWireMode> GossipWireModeFromName(std::string_view name);
 
-struct AgentConfig {
-  ZonePath path;                  // full leaf path, depth >= 1
+// The tuning every agent of a deployment shares (every NewsWire node is
+// "just another Astrolabe leaf", paper §8). AgentConfig, DeploymentConfig
+// and newswire::SystemConfig all inherit it, so each knob is declared once
+// and a deployment hands it to its agents as one slice.
+struct AgentTuning {
   double gossip_period = 2.0;     // seconds between rounds
   // Row expiry: phi accrual over each row's version-advance intervals
   // (failure_detector.h); until a row has phi.min_samples of them, it
@@ -54,8 +57,7 @@ struct AgentConfig {
   // phi.min_samples = SIZE_MAX keeps every row on that fixed rule.
   double fail_timeout_rounds = 6;
   std::int64_t contacts_per_zone = 3;  // representatives per zone (paper §5)
-  PublicKey trust_root = 0;       // anchor for certificate validation
-  GossipWireMode wire_mode = GossipWireMode::kDelta;
+  GossipWireMode gossip_wire = GossipWireMode::kDelta;
   PhiAccrualConfig phi;
   // Escape hatch (--force-full-recompute in newswire_sim): disable the
   // dirty-tracked aggregation memo and re-evaluate every level on every
@@ -64,6 +66,11 @@ struct AgentConfig {
   // tests/aggregation_cache_test.cc); this exists to measure the saving and
   // to bisect should the memo ever be suspected.
   bool force_full_recompute = false;
+};
+
+struct AgentConfig : AgentTuning {
+  ZonePath path;                  // full leaf path, depth >= 1
+  PublicKey trust_root = 0;       // anchor for certificate validation
 };
 
 // Well-known attribute names maintained by the agent itself.
@@ -351,7 +358,7 @@ class Agent : public sim::Node {
   std::uint64_t leaf_cursor_ = 0;
   bool started_ = false;
   GossipStats stats_;
-  // Per-row arrival history for kPhiAccrual, keyed "<level>/<row key>".
+  // Per-row arrival history for row expiry, keyed "<level>/<row key>".
   // Survives row expiry (so a re-learned row keeps its rhythm) but not a
   // process restart.
   PhiAccrualDetector detector_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <utility>
 
 namespace nw::astrolabe {
 
@@ -45,19 +46,19 @@ ZonePath MakePath(std::size_t index, std::size_t depth, std::size_t branching,
 
 }  // namespace
 
-Deployment::Deployment(DeploymentConfig config)
-    : config_(config),
-      sim_(config.seed),
-      net_(sim_, config.net),
+Deployment::Deployment(std::size_t num_agents, DeploymentConfig config)
+    : config_(std::move(config)),
+      sim_(config_.seed),
+      net_(sim_, config_.net),
       root_authority_("root", [&] {
-        util::DeterministicRng rng(config.seed ^ 0x526f6f74ull /*'Root'*/);
+        util::DeterministicRng rng(config_.seed ^ 0x526f6f74ull /*'Root'*/);
         return GenerateKeyPair(rng);
       }()) {
-  assert(config_.num_agents >= 1);
+  assert(num_agents >= 1);
   assert(config_.branching >= 2);
   if (config_.metrics != nullptr) net_.SetMetrics(config_.metrics);
   if (config_.tracer != nullptr) net_.SetTracer(config_.tracer);
-  depth_ = DepthFor(config_.num_agents, config_.branching);
+  depth_ = DepthFor(num_agents, config_.branching);
 
   core_fn_cert_ = root_authority_.Issue(
       CertKind::kFunction, "core", 0,
@@ -65,21 +66,13 @@ Deployment::Deployment(DeploymentConfig config)
        {"version", "1"}},
       0, 1e18);
 
-  paths_.reserve(config_.num_agents);
-  agents_.reserve(config_.num_agents);
-  for (std::size_t i = 0; i < config_.num_agents; ++i) {
+  paths_.reserve(num_agents);
+  agents_.reserve(num_agents);
+  for (std::size_t i = 0; i < num_agents; ++i) {
     paths_.push_back(
         MakePath(i, depth_, config_.branching, config_.top_level_names));
-    AgentConfig ac;
-    ac.path = paths_.back();
-    ac.gossip_period = config_.gossip_period;
-    ac.fail_timeout_rounds = config_.fail_timeout_rounds;
-    ac.contacts_per_zone = config_.contacts_per_zone;
-    ac.wire_mode = config_.gossip_wire;
-    ac.phi = config_.phi;
-    ac.force_full_recompute = config_.force_full_recompute;
-    ac.trust_root = root_authority_.public_key();
-    agents_.push_back(std::make_unique<Agent>(std::move(ac)));
+    agents_.push_back(std::make_unique<Agent>(
+        AgentConfig{config_, paths_.back(), root_authority_.public_key()}));
     net_.AddNode(agents_.back().get());
     agents_.back()->WarmObservability();
     agents_.back()->InstallFunction(core_fn_cert_);

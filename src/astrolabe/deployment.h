@@ -17,20 +17,13 @@
 
 namespace nw::astrolabe {
 
-struct DeploymentConfig {
-  std::size_t num_agents = 16;
+// Every agent is built from this config's AgentTuning slice plus its own
+// leaf path and the deployment's trust root.
+struct DeploymentConfig : AgentTuning {
   std::size_t branching = 8;  // max children per zone (paper §3: "say, 64")
   // Optional human-readable names for the top-level zones (e.g. regions);
   // zones beyond the list keep their generated "z<i>" names.
   std::vector<std::string> top_level_names;
-  double gossip_period = 2.0;
-  double fail_timeout_rounds = 6;
-  std::int64_t contacts_per_zone = 3;
-  GossipWireMode gossip_wire = GossipWireMode::kDelta;
-  PhiAccrualConfig phi;  // row-expiry tuning, forwarded to every agent
-  // Escape hatch: disable the dirty-tracked aggregation memo in every
-  // agent (AgentConfig::force_full_recompute).
-  bool force_full_recompute = false;
   sim::NetworkConfig net;
   std::uint64_t seed = 1;
   // Optional observability sinks, installed on the network before any
@@ -41,7 +34,8 @@ struct DeploymentConfig {
 
 class Deployment {
  public:
-  explicit Deployment(DeploymentConfig config);
+  // Builds `num_agents` (>= 1) agents in a uniform zone tree.
+  explicit Deployment(std::size_t num_agents, DeploymentConfig config = {});
   ~Deployment();
 
   Deployment(const Deployment&) = delete;

@@ -155,22 +155,6 @@ class Table {
     return true;
   }
 
-  // Drops rows whose last refresh is older than `cutoff`, except `keep`
-  // (the caller's own row, which it alone refreshes).
-  std::size_t ExpireOlderThan(double cutoff, const std::string& keep) {
-    std::size_t evicted = 0;
-    for (auto it = rows_.begin(); it != rows_.end();) {
-      if (it->first != keep && it->second.last_refresh < cutoff) {
-        it = rows_.erase(it);
-        ++evicted;
-      } else {
-        ++it;
-      }
-    }
-    if (evicted > 0) ++content_epoch_;
-    return evicted;
-  }
-
   // ---- digest-first reconciliation ------------------------------------
   TableDigest MakeDigest() const {
     TableDigest digest;
@@ -261,13 +245,13 @@ class Table {
 
   // Monotone counter of content-changing mutations (DESIGN.md §11): row
   // bodies written (Upsert, MergeEntry with a different content stream)
-  // and rows removed (Erase, expiry). Heartbeat-only updates — Refresh,
-  // MergeRefresh, and same-content MergeEntry version advances — leave it
-  // untouched. An unchanged epoch proves the table's aggregate-relevant
-  // content is unchanged, which is what lets the agent's dirty-tracked
-  // recomputation skip the level entirely. Copied by the copy constructor
-  // (a COW clone holds the same content), reset only by constructing a
-  // fresh Table.
+  // and rows removed (Erase, which row expiry uses). Heartbeat-only
+  // updates — Refresh, MergeRefresh, and same-content MergeEntry version
+  // advances — leave it untouched. An unchanged epoch proves the table's
+  // aggregate-relevant content is unchanged, which is what lets the agent's
+  // dirty-tracked recomputation skip the level entirely. Copied by the copy
+  // constructor (a COW clone holds the same content), reset only by
+  // constructing a fresh Table.
   std::uint64_t content_epoch() const noexcept { return content_epoch_; }
 
   std::size_t WireBytes() const {

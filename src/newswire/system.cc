@@ -5,30 +5,9 @@
 
 namespace nw::newswire {
 
-namespace {
-
-astrolabe::DeploymentConfig MakeDeploymentConfig(const SystemConfig& cfg) {
-  astrolabe::DeploymentConfig dc;
-  dc.num_agents = cfg.num_subscribers + cfg.num_publishers;
-  dc.branching = cfg.branching;
-  dc.top_level_names = cfg.region_names;
-  dc.gossip_period = cfg.gossip_period;
-  dc.contacts_per_zone = cfg.contacts_per_zone;
-  dc.gossip_wire = cfg.gossip_wire;
-  dc.phi = cfg.phi;
-  dc.force_full_recompute = cfg.force_full_recompute;
-  dc.net = cfg.net;
-  dc.seed = cfg.seed;
-  dc.metrics = cfg.metrics;
-  dc.tracer = cfg.tracer;
-  return dc;
-}
-
-}  // namespace
-
 NewswireSystem::NewswireSystem(SystemConfig config)
     : config_(config),
-      dep_(MakeDeploymentConfig(config)),
+      dep_(config.num_subscribers + config.num_publishers, config),
       rng_(config.seed ^ 0x4e657773ull /*'News'*/) {
   const std::size_t n = dep_.size();
   assert(config_.num_publishers >= 1);
@@ -60,8 +39,7 @@ NewswireSystem::NewswireSystem(SystemConfig config)
     mc_.push_back(std::make_unique<multicast::MulticastService>(
         dep_.agent(i), config_.multicast));
     ps_.push_back(std::make_unique<pubsub::PubSubService>(
-        dep_.agent(i), *mc_[i],
-        pubsub::PubSubOptions{config_.bloom, config_.hierarchical_subjects}));
+        dep_.agent(i), *mc_[i], config_.pubsub));
   }
 
   // Publisher identities and applications.

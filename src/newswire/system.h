@@ -20,24 +20,13 @@
 
 namespace nw::newswire {
 
-struct SystemConfig {
+// The deployment half (zone tree, agent tuning, network, seed, sinks) is
+// inherited and handed to the Deployment as is; the agent count is
+// num_subscribers + num_publishers.
+struct SystemConfig : astrolabe::DeploymentConfig {
   std::size_t num_subscribers = 64;
   std::size_t num_publishers = 1;
-  std::size_t branching = 8;
-  // Optional names for the top-level zones (regions), e.g. {"asia", "eu"}.
-  std::vector<std::string> region_names;
-  double gossip_period = 2.0;
-  std::int64_t contacts_per_zone = 3;
-  astrolabe::GossipWireMode gossip_wire = astrolabe::GossipWireMode::kDelta;
-  // Row-expiry tuning; phi.min_samples = SIZE_MAX keeps every row on the
-  // fixed fail-timeout rule (AgentConfig::fail_timeout_rounds).
-  astrolabe::PhiAccrualConfig phi;
-  // Escape hatch (--force-full-recompute): run the pre-§11 evaluate-every-
-  // level aggregation engine instead of the dirty-tracked memo.
-  bool force_full_recompute = false;
-  sim::NetworkConfig net;
-  pubsub::BloomConfig bloom;
-  bool hierarchical_subjects = false;  // §7: "tech" also matches "tech.*"
+  pubsub::PubSubOptions pubsub;
   multicast::MulticastConfig multicast;
   SubscriberConfig subscriber;
   double publisher_rate = 1000.0;  // flow-control rate (items/s)
@@ -51,13 +40,8 @@ struct SystemConfig {
 
   bool warm_start = true;  // install converged replicas directly
   bool run_gossip = true;  // start the epidemic protocol
-  std::uint64_t seed = 1;
   // Always 1 (asserted); goes once the benchmark program stops setting it.
   unsigned sim_threads = 1;
-  // Optional observability sinks (see src/obs), forwarded to the network
-  // before any node joins. Caller-owned; must outlive the system.
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::EventTracer* tracer = nullptr;
 };
 
 class NewswireSystem {

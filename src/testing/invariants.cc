@@ -27,10 +27,9 @@ bool MatchesSubject(const std::string& subscribed, const std::string& subject,
 
 bool SubscribedTo(newswire::NewswireSystem& sys, std::size_t subscriber,
                   const std::string& subject) {
+  const bool hierarchical = sys.config().pubsub.hierarchical_subjects;
   for (const std::string& s : sys.SubjectsOf(subscriber)) {
-    if (MatchesSubject(s, subject, sys.config().hierarchical_subjects)) {
-      return true;
-    }
+    if (MatchesSubject(s, subject, hierarchical)) return true;
   }
   return false;
 }

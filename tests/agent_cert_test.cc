@@ -8,16 +8,15 @@
 namespace nw::astrolabe {
 namespace {
 
-DeploymentConfig Cfg(std::size_t n = 8) {
+DeploymentConfig Cfg() {
   DeploymentConfig cfg;
-  cfg.num_agents = n;
   cfg.branching = 8;
   cfg.seed = 4;
   return cfg;
 }
 
 TEST(AgentCerts, ExpiredFunctionCertificateRejected) {
-  Deployment d(Cfg());
+  Deployment d(8, Cfg());
   d.StartAll();
   d.RunFor(100);  // now ~100s
   Certificate expired = d.root_authority().Issue(
@@ -31,7 +30,7 @@ TEST(AgentCerts, ExpiredFunctionCertificateRejected) {
 }
 
 TEST(AgentCerts, FunctionFromRogueAuthorityRejectedEverywhere) {
-  Deployment d(Cfg());
+  Deployment d(8, Cfg());
   d.StartAll();
   util::DeterministicRng rng(123);
   Authority rogue("rogue", GenerateKeyPair(rng));
@@ -47,7 +46,7 @@ TEST(AgentCerts, FunctionFromRogueAuthorityRejectedEverywhere) {
 }
 
 TEST(AgentCerts, ZoneAuthorityChainEnablesDelegatedFunctions) {
-  Deployment d(Cfg());
+  Deployment d(8, Cfg());
   // A zone authority whose own certificate chains to the root can issue
   // functions; agents learn the intermediate via gossip.
   util::DeterministicRng rng(55);
@@ -75,7 +74,7 @@ TEST(AgentCerts, ZoneAuthorityChainEnablesDelegatedFunctions) {
 }
 
 TEST(AgentCerts, RogueZoneAuthorityNotAdded) {
-  Deployment d(Cfg());
+  Deployment d(8, Cfg());
   util::DeterministicRng rng(77);
   Authority rogue("rogue", GenerateKeyPair(rng));
   Certificate self_signed = rogue.Issue(CertKind::kZoneAuthority, "rogue",
@@ -89,10 +88,9 @@ TEST(AgentCerts, RogueZoneAuthorityNotAdded) {
 // id-inventory dedup, a cert body crosses a steady-state link exactly once.
 TEST(AgentCerts, CertBodyCrossesATwoNodeLinkExactlyOnce) {
   DeploymentConfig cfg;
-  cfg.num_agents = 2;
   cfg.branching = 2;
   cfg.seed = 9;
-  Deployment d(cfg);
+  Deployment d(2, cfg);
   d.StartAll();
   d.RunFor(30);  // bootstrap: core function cert disseminated both ways
 

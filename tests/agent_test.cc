@@ -10,10 +10,8 @@
 namespace nw::astrolabe {
 namespace {
 
-DeploymentConfig SmallConfig(std::size_t n, std::size_t branching,
-                             std::uint64_t seed = 1) {
+DeploymentConfig SmallConfig(std::size_t branching, std::uint64_t seed = 1) {
   DeploymentConfig cfg;
-  cfg.num_agents = n;
   cfg.branching = branching;
   cfg.gossip_period = 2.0;
   cfg.fail_timeout_rounds = 6;
@@ -29,7 +27,7 @@ std::int64_t RootMembers(const Agent& agent) {
 }
 
 TEST(AgentGossip, FlatZoneConverges) {
-  Deployment d(SmallConfig(8, 8));
+  Deployment d(8, SmallConfig(8));
   d.StartAll();
   d.RunFor(40);
   for (std::size_t i = 0; i < d.size(); ++i) {
@@ -39,7 +37,7 @@ TEST(AgentGossip, FlatZoneConverges) {
 }
 
 TEST(AgentGossip, ThreeLevelHierarchyConverges) {
-  Deployment d(SmallConfig(27, 3));
+  Deployment d(27, SmallConfig(3));
   ASSERT_EQ(d.Depth(), 3u);
   d.StartAll();
   d.RunFor(120);
@@ -51,7 +49,7 @@ TEST(AgentGossip, ThreeLevelHierarchyConverges) {
 }
 
 TEST(AgentGossip, AttributeChangePropagatesToRootSummary) {
-  Deployment d(SmallConfig(16, 4));
+  Deployment d(16, SmallConfig(4));
   d.InstallFunctionEverywhere("maxtemp", "SELECT MAX(temp) AS temp");
   d.StartAll();
   d.RunFor(60);
@@ -65,7 +63,7 @@ TEST(AgentGossip, AttributeChangePropagatesToRootSummary) {
 }
 
 TEST(AgentGossip, FailedAgentsExpireFromMembership) {
-  Deployment d(SmallConfig(16, 4));
+  Deployment d(16, SmallConfig(4));
   d.StartAll();
   d.RunFor(60);
   ASSERT_EQ(RootMembers(d.agent(0)), 16);
@@ -86,10 +84,10 @@ TEST(AgentGossip, FailedAgentsExpireFromMembership) {
 // timeout. Counted over [60 s, 180 s), after phi has samples to judge by.
 std::uint64_t ExpiriesOfSlowSteadyRow(const PhiAccrualConfig& phi,
                                       std::size_t* heartbeats) {
-  DeploymentConfig cfg = SmallConfig(2, 8);
+  DeploymentConfig cfg = SmallConfig(8);
   cfg.gossip_period = 1.0;
   cfg.phi = phi;
-  Deployment d(cfg);
+  Deployment d(2, cfg);
   d.net().SetProcSlowdown(d.agent(1).id(), 8.0);
   d.StartAll();
   d.RunFor(60);
@@ -114,8 +112,32 @@ TEST(AgentFailureDetection, PhiKeepsASlowButSteadyRowAlive) {
   EXPECT_GE(heartbeats, 15u);
 }
 
+// An agent never expires its own rows: the leaf row and, one level up, its
+// own zone's row. Phi learns the zone row's rhythm from the zone-mates'
+// versions; once they all crash the row stops heartbeating and phi
+// suspects it, yet the survivor is still a member and keeps the row.
+TEST(AgentFailureDetection, OwnRowsOutliveTheirHeartbeats) {
+  Deployment d(16, SmallConfig(4));
+  d.StartAll();
+  d.RunFor(60);
+  Agent& survivor = d.agent(0);
+  ASSERT_GE(survivor.failure_detector().SampleCount(
+                "0/" + survivor.path().Component(0)),
+            3u);
+  for (std::size_t i = 1; i < 4; ++i) d.net().Kill(d.agent(i).id());
+  for (int t = 0; t < 120; ++t) {
+    d.RunFor(1);
+    for (std::size_t level = 0; level < survivor.Depth(); ++level) {
+      const std::string& own = survivor.path().Component(level);
+      ASSERT_TRUE(survivor.TableAt(level).Has(own))
+          << "t=" << t << " level " << level;
+    }
+  }
+  EXPECT_EQ(survivor.TableAt(1).size(), 1u);  // the zone-mates did expire
+}
+
 TEST(AgentGossip, RepresentativeFailoverElectsReplacement) {
-  Deployment d(SmallConfig(16, 4));
+  Deployment d(16, SmallConfig(4));
   d.StartAll();
   d.RunFor(60);
   // Agent 0 lives in the first top-level zone; find that zone's contacts
@@ -134,7 +156,7 @@ TEST(AgentGossip, RepresentativeFailoverElectsReplacement) {
 }
 
 TEST(AgentGossip, LoadBasedElectionPrefersIdleNodes) {
-  Deployment d(SmallConfig(4, 4));
+  Deployment d(4, SmallConfig(4));
   d.StartAll();
   // Make agents 0 and 1 heavily loaded; 2 and 3 idle.
   d.agent(0).SetLocalAttr(kAttrLoad, 0.9);
@@ -153,7 +175,7 @@ TEST(AgentGossip, LoadBasedElectionPrefersIdleNodes) {
 }
 
 TEST(AgentGossip, FunctionInstalledOnOneAgentSpreadsEverywhere) {
-  Deployment d(SmallConfig(16, 4));
+  Deployment d(16, SmallConfig(4));
   d.StartAll();
   d.RunFor(40);
   Certificate cert = d.root_authority().Issue(
@@ -173,7 +195,7 @@ TEST(AgentGossip, FunctionInstalledOnOneAgentSpreadsEverywhere) {
 }
 
 TEST(AgentGossip, TamperedFunctionCertificateRejectedEverywhere) {
-  Deployment d(SmallConfig(8, 8));
+  Deployment d(8, SmallConfig(8));
   d.StartAll();
   Certificate cert = d.root_authority().Issue(
       CertKind::kFunction, "evil", 0,
@@ -188,7 +210,7 @@ TEST(AgentGossip, TamperedFunctionCertificateRejectedEverywhere) {
 }
 
 TEST(AgentGossip, UnparsableFunctionRejected) {
-  Deployment d(SmallConfig(4, 4));
+  Deployment d(4, SmallConfig(4));
   Certificate cert = d.root_authority().Issue(
       CertKind::kFunction, "broken", 0,
       {{"code", "SELEC garbage("}, {"version", "1"}}, 0, 1e18);
@@ -196,7 +218,7 @@ TEST(AgentGossip, UnparsableFunctionRejected) {
 }
 
 TEST(AgentGossip, FunctionVersionUpgradeWins) {
-  Deployment d(SmallConfig(8, 8));
+  Deployment d(8, SmallConfig(8));
   d.StartAll();
   Certificate v1 = d.root_authority().Issue(
       CertKind::kFunction, "f", 0,
@@ -218,7 +240,7 @@ TEST(AgentGossip, FunctionVersionUpgradeWins) {
 }
 
 TEST(AgentGossip, RestartedAgentRejoins) {
-  Deployment d(SmallConfig(8, 8));
+  Deployment d(8, SmallConfig(8));
   d.StartAll();
   d.RunFor(40);
   const sim::NodeId victim = d.agent(3).id();
@@ -232,9 +254,9 @@ TEST(AgentGossip, RestartedAgentRejoins) {
 }
 
 TEST(AgentGossip, SurvivesMessageLoss) {
-  DeploymentConfig cfg = SmallConfig(16, 4);
+  DeploymentConfig cfg = SmallConfig(4);
   cfg.net.loss_prob = 0.2;  // every 5th message lost
-  Deployment d(cfg);
+  Deployment d(16, cfg);
   d.StartAll();
   d.RunFor(200);
   // Under sustained loss a membership row can legitimately be mid-refresh
@@ -253,7 +275,7 @@ TEST(AgentGossip, SurvivesMessageLoss) {
 }
 
 TEST(AgentGossip, WarmStartMatchesConvergedShape) {
-  Deployment d(SmallConfig(27, 3));
+  Deployment d(27, SmallConfig(3));
   d.WarmStart();
   // Without a single gossip round, every agent already has the full view.
   for (std::size_t i = 0; i < d.size(); ++i) {
@@ -267,7 +289,7 @@ TEST(AgentGossip, WarmStartMatchesConvergedShape) {
 }
 
 TEST(AgentGossip, WarmStartThenGossipStaysStable) {
-  Deployment d(SmallConfig(16, 4));
+  Deployment d(16, SmallConfig(4));
   d.StartAll();
   d.WarmStart();
   d.RunFor(60);
@@ -278,7 +300,7 @@ TEST(AgentGossip, WarmStartThenGossipStaysStable) {
 
 TEST(AgentGossip, DeterministicAcrossIdenticalRuns) {
   auto run = [](std::uint64_t seed) {
-    Deployment d(SmallConfig(16, 4, seed));
+    Deployment d(16, SmallConfig(4, seed));
     d.StartAll();
     d.RunFor(50);
     std::uint64_t total_sent = 0;
@@ -291,7 +313,7 @@ TEST(AgentGossip, DeterministicAcrossIdenticalRuns) {
 }
 
 TEST(AgentGossip, GossipTrafficPerNodeIsBounded) {
-  Deployment d(SmallConfig(64, 4));
+  Deployment d(64, SmallConfig(4));
   d.StartAll();
   d.RunFor(100);
   // Each agent gossips O(depth) exchanges per round; with replies that is
@@ -305,7 +327,7 @@ TEST(AgentGossip, GossipTrafficPerNodeIsBounded) {
 }
 
 TEST(AgentGossip, PartitionSplitsMembershipAndHeals) {
-  Deployment d(SmallConfig(16, 4));
+  Deployment d(16, SmallConfig(4));
   d.StartAll();
   d.RunFor(60);
   ASSERT_EQ(RootMembers(d.agent(0)), 16);
@@ -326,7 +348,7 @@ TEST(AgentGossip, PartitionSplitsMembershipAndHeals) {
 }
 
 TEST(AgentGossip, MinorityPartitionKeepsItsOwnZoneAlive) {
-  Deployment d(SmallConfig(16, 4));
+  Deployment d(16, SmallConfig(4));
   d.StartAll();
   d.RunFor(60);
   for (std::size_t i = 0; i < 4; ++i) {
@@ -338,7 +360,7 @@ TEST(AgentGossip, MinorityPartitionKeepsItsOwnZoneAlive) {
 }
 
 TEST(AgentGossip, SingleAgentSystemIsSane) {
-  Deployment d(SmallConfig(1, 4));
+  Deployment d(1, SmallConfig(4));
   d.StartAll();
   d.RunFor(20);
   EXPECT_EQ(RootMembers(d.agent(0)), 1);

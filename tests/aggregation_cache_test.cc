@@ -5,8 +5,8 @@
 // Layers of evidence, smallest to largest:
 //  1. Table content-epoch units: heartbeat-only mutations (MergeRefresh,
 //     Refresh, same-content_version MergeEntry) leave the epoch alone;
-//     content mutations (Upsert, body-replacing MergeEntry, Erase, expiry)
-//     bump it.
+//     content mutations (Upsert, body-replacing MergeEntry, Erase, which
+//     row expiry uses) bump it.
 //  2. Compiled plans vs the reference interpreter: strict (type-exact)
 //     result equality over adversarial mixed-type tables, for every
 //     accumulator fast path and the generic fallback.
@@ -59,7 +59,7 @@ RowEntry MakeEntry(std::int64_t a, std::uint64_t version,
   return e;
 }
 
-TEST(ContentEpoch, UpsertEraseAndExpiryBump) {
+TEST(ContentEpoch, UpsertAndEraseBump) {
   Table t;
   const std::uint64_t e0 = t.content_epoch();
   t.Upsert("r").attrs["a"] = std::int64_t{1};
@@ -71,16 +71,6 @@ TEST(ContentEpoch, UpsertEraseAndExpiryBump) {
   const std::uint64_t e2 = t.content_epoch();
   t.Erase("r");  // absent: nothing removed, nothing bumped
   EXPECT_EQ(t.content_epoch(), e2);
-
-  RowEntry& doomed = t.Upsert("old");
-  doomed.last_refresh = 1.0;
-  t.Upsert("keep").last_refresh = 1.0;
-  const std::uint64_t e3 = t.content_epoch();
-  EXPECT_EQ(t.ExpireOlderThan(5.0, "keep"), 1u);
-  EXPECT_GT(t.content_epoch(), e3);
-  const std::uint64_t e4 = t.content_epoch();
-  EXPECT_EQ(t.ExpireOlderThan(5.0, "keep"), 0u);  // nothing left to evict
-  EXPECT_EQ(t.content_epoch(), e4);
 }
 
 TEST(ContentEpoch, MergeRefreshDoesNotBump) {
@@ -301,7 +291,6 @@ TEST(CompiledPlan, UnknownBuiltinStillThrowsTypeErrorAtEval) {
 astrolabe::DeploymentConfig SmallDeploymentConfig(std::uint64_t seed,
                                                   bool force_full) {
   astrolabe::DeploymentConfig cfg;
-  cfg.num_agents = 16;
   cfg.branching = 4;
   cfg.gossip_period = 1.0;
   cfg.seed = seed;
@@ -310,7 +299,7 @@ astrolabe::DeploymentConfig SmallDeploymentConfig(std::uint64_t seed,
 }
 
 TEST(AggregationMemo, EveryLevelIsEvaluatedOrServedExactlyOnce) {
-  astrolabe::Deployment dep(SmallDeploymentConfig(7, false));
+  astrolabe::Deployment dep(16, SmallDeploymentConfig(7, false));
   dep.StartAll();
   dep.RunFor(30);
   std::uint64_t hits = 0, evals = 0;
@@ -342,7 +331,7 @@ TEST(AggregationMemo, EveryLevelIsEvaluatedOrServedExactlyOnce) {
 }
 
 TEST(AggregationMemo, ForceFullEvaluatesEverything) {
-  astrolabe::Deployment dep(SmallDeploymentConfig(7, true));
+  astrolabe::Deployment dep(16, SmallDeploymentConfig(7, true));
   dep.StartAll();
   dep.RunFor(30);
   for (std::size_t i = 0; i < dep.size(); ++i) {
@@ -360,7 +349,7 @@ TEST(AggregationMemo, TraceHookRecordsHitsAndEvals) {
       1 << 14, obs::CategoryBit(obs::EventCategory::kAggregation));
   astrolabe::DeploymentConfig cfg = SmallDeploymentConfig(7, false);
   cfg.tracer = &tracer;
-  astrolabe::Deployment dep(cfg);
+  astrolabe::Deployment dep(16, cfg);
   dep.StartAll();
   dep.RunFor(10);
   std::uint64_t hit_events = 0, eval_events = 0;
@@ -394,13 +383,12 @@ ABRun RunAB(bool force_full, std::uint64_t seed) {
       obs::kAllCategories &
           ~obs::CategoryBit(obs::EventCategory::kAggregation));
   astrolabe::DeploymentConfig cfg;
-  cfg.num_agents = 24;
   cfg.branching = 4;
   cfg.gossip_period = 1.0;
   cfg.seed = seed;
   cfg.force_full_recompute = force_full;
   cfg.tracer = &tracer;
-  astrolabe::Deployment dep(cfg);
+  astrolabe::Deployment dep(24, cfg);
   dep.StartAll();
 
   std::vector<sim::NodeId> victims;

@@ -154,11 +154,10 @@ INSTANTIATE_TEST_SUITE_P(Committed, ChaosScenarioTest,
 
 std::uint64_t RunGossipCocktail(const char* plan_text) {
   astrolabe::DeploymentConfig dc;
-  dc.num_agents = 16;
   dc.branching = 4;
   dc.gossip_period = 1.0;
   dc.seed = 20260808;
-  astrolabe::Deployment dep(dc);
+  astrolabe::Deployment dep(16, dc);
   dep.StartAll();
   dep.RunFor(30);  // converge before the trouble starts
 

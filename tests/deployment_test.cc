@@ -9,9 +9,8 @@ namespace {
 
 TEST(Deployment, UniformLayoutAssignsDistinctLeafPaths) {
   DeploymentConfig cfg;
-  cfg.num_agents = 27;
   cfg.branching = 3;
-  Deployment dep(cfg);
+  Deployment dep(27, cfg);
   EXPECT_EQ(dep.Depth(), 3u);
   std::set<std::string> paths;
   for (std::size_t i = 0; i < dep.size(); ++i) {
@@ -23,9 +22,8 @@ TEST(Deployment, UniformLayoutAssignsDistinctLeafPaths) {
 
 TEST(Deployment, BranchingBoundsZoneFanout) {
   DeploymentConfig cfg;
-  cfg.num_agents = 100;
   cfg.branching = 5;
-  Deployment dep(cfg);
+  Deployment dep(100, cfg);
   dep.WarmStart();
   // No table may exceed the branching factor (paper §3: tables "limited
   // to some small size").
@@ -39,10 +37,9 @@ TEST(Deployment, BranchingBoundsZoneFanout) {
 
 TEST(Deployment, RegionNamesApplyToTopLevel) {
   DeploymentConfig cfg;
-  cfg.num_agents = 16;
   cfg.branching = 4;
   cfg.top_level_names = {"asia", "europe", "americas", "africa"};
-  Deployment dep(cfg);
+  Deployment dep(16, cfg);
   std::set<std::string> tops;
   for (std::size_t i = 0; i < dep.size(); ++i) {
     tops.insert(dep.PathFor(i).Component(0));
@@ -55,15 +52,14 @@ TEST(Deployment, WarmStartMatchesGossipedConvergence) {
   // The same configuration converged by real gossip and installed by
   // WarmStart must agree on the root summary.
   DeploymentConfig cfg;
-  cfg.num_agents = 16;
   cfg.branching = 4;
   cfg.seed = 5;
 
-  Deployment gossiped(cfg);
+  Deployment gossiped(16, cfg);
   gossiped.StartAll();
   gossiped.RunFor(80);
 
-  Deployment warmed(cfg);
+  Deployment warmed(16, cfg);
   warmed.WarmStart();
 
   for (std::size_t i = 0; i < 16; ++i) {
@@ -80,9 +76,8 @@ TEST(Deployment, WarmStartMatchesGossipedConvergence) {
 
 TEST(Deployment, WarmStartSharesTablesAcrossAgents) {
   DeploymentConfig cfg;
-  cfg.num_agents = 64;
   cfg.branching = 4;
-  Deployment dep(cfg);
+  Deployment dep(64, cfg);
   dep.WarmStart();
   // All agents share one physical root table (copy-on-write), so the
   // address must coincide.
@@ -93,9 +88,7 @@ TEST(Deployment, WarmStartSharesTablesAcrossAgents) {
 }
 
 TEST(Deployment, FunctionInstalledEverywhereIsPresent) {
-  DeploymentConfig cfg;
-  cfg.num_agents = 8;
-  Deployment dep(cfg);
+  Deployment dep(8);
   dep.InstallFunctionEverywhere("probe", "SELECT COUNT(*) AS probe_count");
   for (std::size_t i = 0; i < dep.size(); ++i) {
     auto names = dep.agent(i).InstalledFunctionNames();
@@ -105,9 +98,8 @@ TEST(Deployment, FunctionInstalledEverywhereIsPresent) {
 
 TEST(Deployment, CowClonesOnLocalMutationOnly) {
   DeploymentConfig cfg;
-  cfg.num_agents = 8;
   cfg.branching = 8;
-  Deployment dep(cfg);
+  Deployment dep(8, cfg);
   dep.WarmStart();
   const Table* shared = &dep.agent(1).TableAt(0);
   ASSERT_EQ(&dep.agent(0).TableAt(0), shared);
@@ -121,9 +113,8 @@ TEST(Deployment, CowClonesOnLocalMutationOnly) {
 TEST(Deployment, SingleAndTwoAgentEdgeCases) {
   for (std::size_t n : {1u, 2u}) {
     DeploymentConfig cfg;
-    cfg.num_agents = n;
     cfg.branching = 4;
-    Deployment dep(cfg);
+    Deployment dep(n, cfg);
     dep.StartAll();
     dep.RunFor(30);
     for (std::size_t i = 0; i < n; ++i) {

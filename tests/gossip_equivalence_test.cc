@@ -47,12 +47,11 @@ struct DeploymentRun {
 DeploymentRun RunDeployment(astrolabe::GossipWireMode mode,
                             std::uint64_t seed) {
   astrolabe::DeploymentConfig cfg;
-  cfg.num_agents = 32;
   cfg.branching = 4;
   cfg.gossip_period = 1.0;
   cfg.seed = seed;
   cfg.gossip_wire = mode;
-  astrolabe::Deployment dep(cfg);
+  astrolabe::Deployment dep(32, cfg);
   dep.StartAll();
 
   std::vector<sim::NodeId> victims;

@@ -17,9 +17,8 @@ using astrolabe::ZonePath;
 
 struct Env {
   Env(std::size_t n, std::size_t branching, MulticastConfig mc)
-      : dep([&] {
+      : dep(n, [&] {
           DeploymentConfig cfg;
-          cfg.num_agents = n;
           cfg.branching = branching;
           cfg.seed = 5;
           return cfg;

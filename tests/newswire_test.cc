@@ -3,6 +3,9 @@
 // transfer, feed agents, and the whole-system harness.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "newswire/feed_agent.h"
 #include "newswire/message_cache.h"
 #include "newswire/news_item.h"
@@ -143,6 +146,50 @@ SystemConfig SmallSystem(std::size_t subs, std::size_t pubs = 1,
   cfg.catalog_size = 8;
   cfg.subjects_per_subscriber = 2;
   return cfg;
+}
+
+// SystemConfig inherits the deployment and agent tuning, so every knob set
+// on it must arrive unchanged at every agent and at the network.
+TEST(System, EveryTuningKnobReachesEveryAgent) {
+  SystemConfig cfg = SmallSystem(15);
+  cfg.gossip_period = 1.5;
+  cfg.fail_timeout_rounds = 9;
+  cfg.contacts_per_zone = 2;
+  cfg.gossip_wire = astrolabe::GossipWireMode::kFull;
+  cfg.phi.threshold = 5.0;
+  cfg.phi.window = 7;
+  cfg.phi.min_samples = 4;
+  cfg.phi.floor_rounds = 3;
+  cfg.force_full_recompute = true;
+  cfg.top_level_names = {"asia", "europe", "americas", "africa"};
+  cfg.net.base_latency = 0.05;
+  cfg.net.loss_prob = 0.01;
+  cfg.run_gossip = false;
+  NewswireSystem sys(cfg);
+
+  ASSERT_EQ(sys.node_count(), 16u);
+  for (std::size_t i = 0; i < sys.node_count(); ++i) {
+    const astrolabe::AgentConfig& ac = sys.deployment().agent(i).config();
+    EXPECT_EQ(ac.gossip_period, 1.5) << "agent " << i;
+    EXPECT_EQ(ac.fail_timeout_rounds, 9) << "agent " << i;
+    EXPECT_EQ(ac.contacts_per_zone, 2) << "agent " << i;
+    EXPECT_EQ(ac.gossip_wire, astrolabe::GossipWireMode::kFull)
+        << "agent " << i;
+    EXPECT_EQ(ac.phi.threshold, 5.0) << "agent " << i;
+    EXPECT_EQ(ac.phi.window, 7u) << "agent " << i;
+    EXPECT_EQ(ac.phi.min_samples, 4u) << "agent " << i;
+    EXPECT_EQ(ac.phi.floor_rounds, 3) << "agent " << i;
+    EXPECT_TRUE(ac.force_full_recompute) << "agent " << i;
+  }
+  EXPECT_EQ(sys.deployment().config().top_level_names, cfg.top_level_names);
+  std::set<std::string> regions;
+  for (std::size_t i = 0; i < sys.node_count(); ++i) {
+    regions.insert(sys.deployment().PathFor(i).Component(0));
+  }
+  EXPECT_EQ(regions, (std::set<std::string>{"asia", "europe", "americas",
+                                            "africa"}));
+  EXPECT_EQ(sys.deployment().net().config().base_latency, 0.05);
+  EXPECT_EQ(sys.deployment().net().config().loss_prob, 0.01);
 }
 
 TEST(System, PublishedItemsReachExactlyTheSubscribers) {

@@ -36,14 +36,13 @@ class GossipConvergenceProperty : public ::testing::TestWithParam<GossipCase> {}
 TEST_P(GossipConvergenceProperty, AllAgentsAgreeOnMembership) {
   const GossipCase& param = GetParam();
   astrolabe::DeploymentConfig cfg;
-  cfg.num_agents = param.n;
   cfg.branching = param.branching;
   cfg.net.loss_prob = param.loss;
   // Under sustained loss, rows occasionally flap near the failure timeout;
   // give them more slack so the steady state is clean.
   if (param.loss > 0) cfg.fail_timeout_rounds = 12;
   cfg.seed = 1234;
-  astrolabe::Deployment dep(cfg);
+  astrolabe::Deployment dep(param.n, cfg);
   dep.StartAll();
   dep.RunFor(param.run_seconds);
   // Loss-free: exact agreement. Lossy steady state: at any instant a row
@@ -90,11 +89,10 @@ class MulticastCompletenessProperty
 TEST_P(MulticastCompletenessProperty, DeliversToLeavesOnce) {
   const MulticastCase& param = GetParam();
   astrolabe::DeploymentConfig cfg;
-  cfg.num_agents = param.n;
   cfg.branching = param.branching;
   cfg.net.loss_prob = param.loss;
   cfg.seed = 77;
-  astrolabe::Deployment dep(cfg);
+  astrolabe::Deployment dep(param.n, cfg);
   multicast::MulticastConfig mc;
   mc.redundancy = param.redundancy;
   std::vector<std::unique_ptr<multicast::MulticastService>> svc;

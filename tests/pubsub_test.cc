@@ -78,9 +78,8 @@ class PubSubEnv {
  public:
   explicit PubSubEnv(std::size_t n, std::size_t branching,
                      BloomConfig bloom = {}, std::uint64_t seed = 1)
-      : dep_([&] {
+      : dep_(n, [&] {
           DeploymentConfig cfg;
-          cfg.num_agents = n;
           cfg.branching = branching;
           cfg.seed = seed;
           return cfg;
@@ -260,9 +259,8 @@ TEST(SubjectHierarchy, PrefixLaws) {
 class HierarchicalEnv {
  public:
   explicit HierarchicalEnv(std::size_t n, std::size_t branching)
-      : dep_([&] {
+      : dep_(n, [&] {
           DeploymentConfig cfg;
-          cfg.num_agents = n;
           cfg.branching = branching;
           cfg.seed = 2;
           return cfg;
@@ -359,9 +357,8 @@ class CategoryEnv {
  public:
   explicit CategoryEnv(std::size_t n, std::size_t branching,
                        const std::vector<std::string>& publishers)
-      : dep_([&] {
+      : dep_(n, [&] {
           DeploymentConfig cfg;
-          cfg.num_agents = n;
           cfg.branching = branching;
           return cfg;
         }()) {

@@ -13,9 +13,8 @@ namespace {
 
 class QueryEnv {
  public:
-  explicit QueryEnv(std::size_t n, std::size_t branching) : dep_([&] {
+  explicit QueryEnv(std::size_t n, std::size_t branching) : dep_(n, [&] {
     DeploymentConfig cfg;
-    cfg.num_agents = n;
     cfg.branching = branching;
     cfg.seed = 8;
     return cfg;
@@ -116,10 +115,9 @@ TEST(QueryService, LateResponseAfterTimeoutIsDropped) {
   // Tight timeout + high latency: the answer arrives after the timeout
   // fired; the callback must run exactly once (with the timeout).
   DeploymentConfig cfg;
-  cfg.num_agents = 4;
   cfg.branching = 4;
   cfg.net.base_latency = 2.0;  // RTT 4s
-  Deployment dep(cfg);
+  Deployment dep(4, cfg);
   QueryService::Config qc;
   qc.timeout = 1.0;
   std::vector<std::unique_ptr<QueryService>> qs;

@@ -175,9 +175,8 @@ class ReliableEnv {
  public:
   ReliableEnv(std::size_t n, std::size_t branching, MulticastConfig mc = {},
               sim::NetworkConfig net = {}, std::uint64_t seed = 1)
-      : dep_([&] {
+      : dep_(n, [&] {
           DeploymentConfig cfg;
-          cfg.num_agents = n;
           cfg.branching = branching;
           cfg.net = net;
           cfg.seed = seed;

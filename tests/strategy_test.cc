@@ -22,9 +22,8 @@ struct Arrival {
 
 struct StrategyEnv {
   StrategyEnv(std::size_t n, std::size_t branching, MulticastConfig mc)
-      : dep([&] {
+      : dep(n, [&] {
           DeploymentConfig cfg;
-          cfg.num_agents = n;
           cfg.branching = branching;
           cfg.seed = 7;
           return cfg;
@@ -158,9 +157,8 @@ TEST(LoadFeedback, ForwardingUpdatesTheLoadAttribute) {
   mc.report_load = true;
   mc.load_report_interval = 1.0;
   DeploymentConfig cfg;
-  cfg.num_agents = 16;
   cfg.branching = 4;
-  Deployment dep(cfg);
+  Deployment dep(16, cfg);
   std::vector<std::unique_ptr<MulticastService>> svc;
   for (std::size_t i = 0; i < dep.size(); ++i) {
     svc.push_back(std::make_unique<MulticastService>(dep.agent(i), mc));
@@ -189,9 +187,7 @@ TEST(LoadFeedback, ForwardingUpdatesTheLoadAttribute) {
 TEST(LoadFeedback, CanBeDisabled) {
   MulticastConfig mc;
   mc.report_load = false;
-  DeploymentConfig cfg;
-  cfg.num_agents = 4;
-  Deployment dep(cfg);
+  Deployment dep(4);
   std::vector<std::unique_ptr<MulticastService>> svc;
   for (std::size_t i = 0; i < dep.size(); ++i) {
     svc.push_back(std::make_unique<MulticastService>(dep.agent(i), mc));

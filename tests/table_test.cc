@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "astrolabe/deployment.h"
 #include "astrolabe/table.h"
 
 namespace nw::astrolabe {
@@ -159,33 +160,71 @@ TEST(TableDigest, MergeRefreshRejectsStaleOrDivergentHeartbeats) {
 }
 
 TEST(TableDigest, ExpiredRowsLeaveTheDigestAndTheDelta) {
-  // Interplay with the failure detector: once ExpireOlderThan (driven by
-  // fail_timeout_rounds) evicts a row, the digest stops advertising it and
-  // the delta stops shipping it — the eviction propagates by silence, not
-  // by a tombstone. A peer still holding the row will offer it back; the
-  // agent-level deletion-stability check (agent.cc MergeRows) decides
-  // whether that is a resurrection or a legitimate rebirth.
+  // Interplay with the failure detector: once row expiry (Agent::ExpireRows,
+  // which erases each doomed row) evicts a row, the digest stops
+  // advertising it and the delta stops shipping it — the eviction
+  // propagates by silence, not by a tombstone. A peer still holding the
+  // row will offer it back; the agent-level deletion-stability check
+  // (agent.cc MergeRows) decides whether that is a resurrection or a
+  // legitimate rebirth.
   Table t = ThreeRows();
-  RowEntry& stale = t.Upsert("b");
-  stale.last_refresh = 0.1;  // older than the cutoff below
-  const std::size_t evicted = t.ExpireOlderThan(0.5, /*keep=*/"a");
-  EXPECT_EQ(evicted, 1u);
+  t.Erase("b");
+  EXPECT_EQ(t.size(), 2u);
   const TableDigest digest = t.MakeDigest();
   EXPECT_FALSE(digest.contains("b"));
   EXPECT_EQ(Keys(t.DeltaAgainst(TableDigest{}).rows),
             (std::vector<std::string>{"a", "c"}));
 }
 
+// The keep rule of row expiry: a replica never expires its own row, which
+// it alone vouches for. Agent::ExpireRows applies it, so these two drive it
+// through a four-agent, two-level deployment: agent 0's only zone-mate
+// crashes, the zone row the two shared stops heartbeating, and the failure
+// detector suspects it while agent 0 is still a member. Returns the rows
+// agent 0 expired after the crash.
+std::uint64_t CrashAgent0sZoneMate(Deployment& d) {
+  d.StartAll();
+  d.RunFor(60);
+  const Agent& survivor = d.agent(0);
+  const std::string zone_key = "0/" + survivor.path().Component(0);
+  EXPECT_GE(survivor.failure_detector().SampleCount(zone_key),
+            survivor.config().phi.min_samples);
+  const std::uint64_t before = survivor.gossip_stats().rows_expired;
+  d.net().Kill(d.agent(1).id());
+  d.RunFor(120);
+  EXPECT_TRUE(survivor.failure_detector().Suspect(
+      zone_key, d.sim().Now(), survivor.config().gossip_period));
+  return survivor.gossip_stats().rows_expired - before;
+}
+
+DeploymentConfig KeepRuleConfig() {
+  DeploymentConfig cfg;
+  cfg.branching = 2;
+  cfg.gossip_period = 2.0;
+  cfg.fail_timeout_rounds = 6;
+  cfg.contacts_per_zone = 2;
+  return cfg;
+}
+
+TEST(Table, ExpiryKeepsOwnRow) {
+  Deployment d(4, KeepRuleConfig());
+  ASSERT_EQ(d.Depth(), 2u);
+  const std::uint64_t evicted = CrashAgent0sZoneMate(d);
+  const Agent& survivor = d.agent(0);
+  EXPECT_EQ(evicted, 1u);  // the crashed zone-mate's leaf row, nothing else
+  EXPECT_TRUE(survivor.TableAt(1).Has(survivor.path().Component(1)));
+  EXPECT_FALSE(survivor.TableAt(1).Has(d.agent(1).path().Component(1)));
+  EXPECT_TRUE(survivor.TableAt(0).Has(survivor.path().Component(0)));
+}
+
 TEST(TableDigest, KeepRowSurvivesExpiryAndStaysInTheDigest) {
-  // The caller's own row is never expired (it alone refreshes it), so it
-  // must keep appearing in digests even when its refresh time is ancient.
-  Table t = ThreeRows();
-  t.Upsert("a").last_refresh = 0.0;
-  t.Upsert("b").last_refresh = 0.0;
-  t.Upsert("c").last_refresh = 0.0;
-  t.ExpireOlderThan(0.5, /*keep=*/"a");
-  EXPECT_EQ(t.size(), 1u);
-  EXPECT_TRUE(t.MakeDigest().contains("a"));
+  // The suspected own zone row must keep appearing in agent 0's digests,
+  // or its peers would never hear of the zone again.
+  Deployment d(4, KeepRuleConfig());
+  CrashAgent0sZoneMate(d);
+  const Agent& survivor = d.agent(0);
+  EXPECT_TRUE(
+      survivor.TableAt(0).MakeDigest().contains(survivor.path().Component(0)));
 }
 
 TEST(TableDigest, DeltaCarriesFullRowEntries) {

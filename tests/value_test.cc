@@ -176,19 +176,6 @@ TEST(Table, EqualVersionIsIdempotent) {
   EXPECT_FALSE(t.MergeEntry("r", e, 2.0));
 }
 
-TEST(Table, ExpiryKeepsOwnRow) {
-  Table t;
-  RowEntry e;
-  e.version = 1;
-  e.last_refresh = 0.0;
-  t.MergeEntry("me", e, 0.0);
-  t.MergeEntry("other", e, 0.0);
-  const std::size_t evicted = t.ExpireOlderThan(10.0, "me");
-  EXPECT_EQ(evicted, 1u);
-  EXPECT_TRUE(t.Has("me"));
-  EXPECT_FALSE(t.Has("other"));
-}
-
 TEST(Table, WireBytesTracksContent) {
   Table t;
   RowEntry e;

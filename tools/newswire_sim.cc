@@ -121,9 +121,9 @@ int main(int argc, char** argv) {
   const bool reliable = cfg.multicast.reliable.max_pending > 0;
   cfg.subscriber.repair_interval = flags.GetDouble("repair-interval", 10.0);
   cfg.subscriber.repair_window = 3600.0;
-  cfg.hierarchical_subjects = flags.GetBool("hierarchical", false);
+  cfg.pubsub.hierarchical_subjects = flags.GetBool("hierarchical", false);
   cfg.subscriber.verify_publishers = flags.GetBool("verify", false);
-  cfg.bloom.bits = std::size_t(flags.GetInt("bloom-bits", 1024));
+  cfg.pubsub.bloom.bits = std::size_t(flags.GetInt("bloom-bits", 1024));
   cfg.seed = std::uint64_t(flags.GetInt("seed", 1));
   const double duration = flags.GetDouble("duration", 60.0);
   const double items_per_sec = flags.GetDouble("items-per-sec", 1.0);
@@ -146,6 +146,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
     }
     PrintUsage();
+    return 2;
+  }
+  if (!(kill_frac >= 0 && kill_frac <= 1)) {
+    std::fprintf(stderr, "--kill-frac: expected a fraction in [0, 1], got %g\n",
+                 kill_frac);
     return 2;
   }
 
@@ -192,7 +197,7 @@ int main(int argc, char** argv) {
       cfg.num_subscribers, cfg.num_publishers, cfg.branching,
       100 * cfg.net.loss_prob, items_per_sec, duration,
       kill_frac > 0 ? ", with crashes" : "",
-      cfg.hierarchical_subjects ? ", hierarchical subjects" : "");
+      cfg.pubsub.hierarchical_subjects ? ", hierarchical subjects" : "");
   std::printf("forwarding: %s\n", reliable
                                       ? "reliable (ack/retransmit/failover)"
                                       : "fire-and-forget");
@@ -203,7 +208,6 @@ int main(int argc, char** argv) {
   sys.RunFor(15);
 
   // Publishing schedule.
-  util::DeterministicRng rng(cfg.seed ^ 0xC11);
   const double t0 = sys.Now();
   if (!fault_plan.empty()) {
     if (fault_plan.MaxNode() != sim::kInvalidNode &&
@@ -243,23 +247,27 @@ int main(int argc, char** argv) {
   }
   const int total_items = int(duration * items_per_sec);
   for (int k = 0; k < total_items; ++k) {
-    sys.deployment().sim().At(t0 + k / items_per_sec, [&sys, &rng, k] {
+    sys.deployment().sim().At(t0 + k / items_per_sec, [&sys, k] {
       sys.PublishArticle(std::size_t(k) % sys.publisher_count(),
                          sys.RandomSubject());
-      (void)rng;
     });
   }
   if (kill_frac > 0) {
     sys.deployment().sim().At(t0 + kill_at, [&] {
       util::DeterministicRng kill_rng(cfg.seed ^ 0xDEAD);
-      std::size_t killed = 0;
-      const std::size_t want =
-          std::size_t(kill_frac * double(sys.subscriber_count()));
+      sim::Network& net = sys.deployment().net();
+      std::size_t killed = 0, live = 0;
+      for (std::size_t i = 0; i < sys.subscriber_count(); ++i) {
+        live += net.IsAlive(sys.subscriber_agent(i).id()) ? 1 : 0;
+      }
+      // A fault plan may already have crashed some: stop once none is left.
+      const std::size_t want = std::min(
+          live, std::size_t(kill_frac * double(sys.subscriber_count())));
       while (killed < want) {
         const std::size_t i =
             std::size_t(kill_rng.NextBelow(sys.subscriber_count()));
-        if (sys.deployment().net().IsAlive(sys.subscriber_agent(i).id())) {
-          sys.deployment().net().Kill(sys.subscriber_agent(i).id());
+        if (net.IsAlive(sys.subscriber_agent(i).id())) {
+          net.Kill(sys.subscriber_agent(i).id());
           ++killed;
         }
       }

@@ -45,9 +45,9 @@ fi
 ctest --test-dir "$build" --output-on-failure -j "$jobs" "$@"
 
 if [[ "${BENCH:-0}" == "1" ]]; then
-  # The repository benchmark builds src/ on its own (perfbench/run.py), so
-  # nothing above compiles it: build it and run every workload at toy size.
-  # It goes first so that a red E-bench gate below cannot skip it.
+  # The repository benchmark builds src/ on its own (perfbench/run.py):
+  # build it that way and run every workload at toy size, untraced and
+  # traced. It goes first so that a red E-bench gate below cannot skip it.
   python3 "$repo/perfbench/selftest.py"
   # Run every bench binary and check that each emits a machine-readable
   # BENCH_<name>.json report that a strict parser accepts.
